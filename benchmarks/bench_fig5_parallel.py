@@ -6,13 +6,13 @@ processes instead of threads (GIL), so the reproduced claim is the
 runs beat the single-worker baseline.
 
 Both parallel modes are measured side by side, each driven through the
-runtime layer (:class:`~repro.runtime.ExecutionContext` owns all pools):
+runtime layer (:class:`~repro.runtime.ExecutionContext` owns the pool):
 
 * ``time`` / ``quality`` / ``payload_bytes`` — the solve-level best-of
   mode (``mode="solve"``): the budget is split into independent whole
-  solves.  One resident solve-level pool (sized for the largest sweep
-  point) is created by an outer context and shared by every worker
-  count, so the series measures solving rather than per-run process
+  solves.  One resident pool (sized for the largest sweep point) is
+  created by an outer context and shared by every worker count, so the
+  series measures solving rather than per-run process
   startup — and, because the pool keeps the detached graph arrays
   resident, the timed runs ship only O(1) specs.  ``payload_bytes``
   records each timed run's actual wire bytes (the solve-mode shipping
@@ -20,13 +20,13 @@ runtime layer (:class:`~repro.runtime.ExecutionContext` owns all pools):
   ``SolveStats.extra`` via the shared residency accounting).
 * ``stage_time`` / ``stage_quality`` — the stage-level sharded-CE mode
   (``mode="stage"``): one solve whose per-stage draws are sharded across
-  the context's resident stage pool.  Each context is warmed with an
+  the context's resident pool.  Each context is warmed with an
   untimed solve (residency + OS-level warmup) before the timed run,
   mirroring the pool reuse of the best-of series.
 
 Streaming-mutation series (``graph_patch`` in ``BENCH_sampler.json``):
 on the n=10k graph, an :class:`~repro.online.OnlinePlanner` with
-``prune_declined=True`` plans once on a cold 2-worker stage pool (the
+``prune_declined=True`` plans once on a cold 2-worker pool (the
 full detached-arrays install) and replans once after a decline — the
 decline patches the frozen index in place, so the warm replan ships
 only the sparse ``graph_patch`` record.  The recorded wire bytes are
@@ -90,7 +90,7 @@ def run_experiment() -> ExperimentTable:
         )
         for workers in usable:
             with ExecutionContext(
-                workers=workers, solve_pool=shared.solve_pool()
+                workers=workers, pool=shared.pool()
             ) as context:
                 mode = "solve" if workers > 1 else "serial"
                 started = time.perf_counter()
@@ -117,11 +117,11 @@ def run_experiment() -> ExperimentTable:
         if max(usable) > 1:
             from repro.parallel import NEXT_RPC, FaultPlan
 
-            pool = shared.solve_pool()
+            pool = shared.pool()
             pool.fault_plan = FaultPlan(kills=[(0, NEXT_RPC)])
             try:
                 with ExecutionContext(
-                    workers=max(usable), solve_pool=pool
+                    workers=max(usable), pool=pool
                 ) as context:
                     started = time.perf_counter()
                     recovered = context.solve(
@@ -154,7 +154,7 @@ def run_experiment() -> ExperimentTable:
 def measure_graph_patch() -> dict:
     """The ``graph_patch`` series: sparse deltas vs a full re-install.
 
-    Cold plan → full detached-arrays install to every stage worker;
+    Cold plan → full detached-arrays install to every worker;
     decline → ``prune_declined`` patches the frozen index in place;
     warm replan → only the ``graph_patch`` record ships.  All byte
     counts are deterministic pickle sizes.
@@ -174,13 +174,13 @@ def measure_graph_patch() -> dict:
             group = planner.plan()
             cold = planner.last_result.stats.extra
             full_install_bytes = cold["batch_payload_bytes"]
-            installs_before = context.stage_pool().installs
+            installs_before = context.pool().installs
             victim = next(iter(sorted(group.members, key=repr)))
             pruned_edges = graph.degree(victim)
             planner.record_decline(victim)
             warm = planner.last_result.stats.extra
             patch_bytes = warm.get("graph_patch_bytes", 0)
-            replan_installs = context.stage_pool().installs - installs_before
+            replan_installs = context.pool().installs - installs_before
             assert not warm.get("graph_shipped"), warm
     return {
         "n": PATCH_N,

@@ -28,7 +28,7 @@ Measures, on synthetic Facebook-regime graphs of n ∈ {1k, 10k}:
   in ``tests/test_vector.py``;
 * pool worker payload sizes: the detached compiled-arrays payload
   (``WASOProblem.detached()``) versus the historical dict-graph pickle
-  — gated on the slim number only, since the resident pools never ship
+  — gated on the slim number only, since the resident pool never ships
   the dict graph (and a detached problem has no dict size at all);
 * the resident serving session (``resident_solve``): wire-level payload
   bytes of a ``solve_many`` session on the n=10k graph — the first
@@ -38,7 +38,7 @@ Measures, on synthetic Facebook-regime graphs of n ∈ {1k, 10k}:
 * stage-sharded CBAS-ND (``repro.parallel.stage_pool``) wall clock on
   one large n=10k solve (T=3200, 4 workers, persistent pool, payload
   resident before timing) versus the serial compiled engine — the
-  speedup the solve-level best-of pool cannot deliver by construction.
+  speedup the best-of budget split cannot deliver by construction.
 
 Results are persisted to ``BENCH_sampler.json`` next to the repo root so
 future PRs can diff against them.  Acceptance gates, all measured in the
@@ -271,7 +271,7 @@ def _bench_resident_solve(problem: WASOProblem) -> dict:
 
     with ExecutionContext(workers=RESIDENT_WORKERS) as context:
         first = context.solve_many(batch(), mode="solve")
-        installs_first = context.solve_pool().installs
+        installs_first = context.pool().installs
         with OnlinePlanner(
             problem,
             solver=context.make_solver("cbas-nd", budget=80, m=10, stages=2),
@@ -280,9 +280,9 @@ def _bench_resident_solve(problem: WASOProblem) -> dict:
         ) as planner:
             group = planner.plan()
             planner.record_decline(next(iter(sorted(group.members))))
-        installs_replan = context.solve_pool().installs
+        installs_replan = context.pool().installs
         second = context.solve_many(batch(), mode="solve")
-        installs_second = context.solve_pool().installs
+        installs_second = context.pool().installs
         # A warm forced-solve-mode single solve exercises the resident
         # best-of path non-vacuously (the planner's small replans route
         # serial by design, so they could never re-ship anything): the
@@ -398,7 +398,7 @@ def check_against_baseline(fresh: dict, baseline: dict) -> list[str]:
     so any growth is a real regression, not noise).  The payload gate
     covers the slim number only — ``compiled_arrays_bytes`` plus the
     ``resident_solve`` wire series — because the dict-graph pickle is
-    never shipped by the resident pools (and does not exist at all for a
+    never shipped by the resident pool (and does not exist at all for a
     detached problem, where it reports ``None``).
     """
     failures: list[str] = []

@@ -1,7 +1,7 @@
 """Tier-2 serving benchmark: the daemon under open-loop overload.
 
 Drives :class:`repro.serving.ServingDaemon` end to end — real TCP
-socket, real JSONL protocol, real resident pools — with the open-loop
+socket, real JSONL protocol, real resident pool — with the open-loop
 load generator (:class:`repro.parallel.faults.ArrivalScript`: each
 request is sent at its scheduled instant regardless of how the server
 is coping, which is what makes overload visible).  Three series:

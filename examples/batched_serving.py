@@ -4,9 +4,9 @@ A site serving group recommendations does not solve one query at a time:
 requests with different group sizes, constraints, solvers, and budgets
 arrive together.  ``ExecutionContext.solve_many`` multiplexes a
 heterogeneous batch over one shared compiled graph — small solves fan
-out across the solve-level worker pool, large ones route to the
-stage-sharded pool — and the results are bit-identical to solving each
-request on its own.
+out across the resident worker pool as whole-solve chunks, large ones
+are stage-sharded across the same workers — and the results are
+bit-identical to solving each request on its own.
 
 Run:  python examples/batched_serving.py
 """

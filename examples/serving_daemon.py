@@ -119,7 +119,7 @@ async def main() -> None:
           f"admission counters {health['admission']}")
 
     # 4. Drain: stops accepting, answers everything admitted, tears
-    # down the worker pools — no orphan processes, no hung clients.
+    # down the worker pool — no orphan processes, no hung clients.
     await daemon.shutdown()
     print("drained ✔")
 

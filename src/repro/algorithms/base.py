@@ -113,7 +113,7 @@ class ContextSolver(Solver):
 
     Subclasses call :meth:`_init_context` from their constructor: a
     caller-supplied context provides the engine, the stage-executor
-    routing, and the worker pools; without one the solver gets a private
+    routing, and the worker pool; without one the solver gets a private
     *serial* context, which reproduces the historical direct-call
     behaviour bit for bit (the deprecated ``engine=`` kwarg delegates to
     that private context).
@@ -132,7 +132,7 @@ class ContextSolver(Solver):
         if context is None:
             from repro.runtime.context import ExecutionContext
 
-            # Private serial context: no pools, no auto-routing — a bare
+            # Private serial context: no pool, no auto-routing — a bare
             # ``Solver().solve()`` stays exactly the historical serial run.
             context = ExecutionContext(
                 engine=engine if engine is not None else "compiled",
@@ -144,7 +144,7 @@ class ContextSolver(Solver):
         )
 
     def __getstate__(self) -> dict:
-        # Contexts hold worker pools (pipes, processes) that cannot cross
+        # Contexts hold a worker pool (pipes, processes) that cannot cross
         # a process boundary; worker-side solves are serial, so ship the
         # solver without it and let ``__setstate__`` rebuild a private one.
         state = self.__dict__.copy()

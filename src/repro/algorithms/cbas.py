@@ -21,7 +21,6 @@ from repro.algorithms.base import ContextSolver, SolveResult, SolveStats
 from repro.algorithms.sampling import ExpansionSampler, Sample
 from repro.algorithms.stage_exec import (
     MAX_CONSECUTIVE_FAILURES,
-    SerialStageExecutor,
     StageContext,
     StageExecutor,
 )
@@ -45,15 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.context import ExecutionContext
 
 __all__ = ["CBAS", "CBASWarmState"]
-
-#: Historical alias — the write-off cap now lives with the stage
-#: execution strategies (serial and sharded runs share one policy).
-_MAX_CONSECUTIVE_FAILURES = MAX_CONSECUTIVE_FAILURES
-
-#: Historical alias — executor selection now lives on the
-#: :class:`~repro.runtime.context.ExecutionContext`; this instance only
-#: backs old call sites that import it directly.
-_SERIAL_EXECUTOR = SerialStageExecutor()
 
 
 @dataclass
@@ -108,7 +98,7 @@ class CBAS(ContextSolver):
         pins the stage strategy for every solve, bypassing the context.
     context:
         The :class:`~repro.runtime.context.ExecutionContext` this solver
-        executes through (engine, stage-executor routing, worker pools).
+        executes through (engine, stage-executor routing, worker pool).
         Without one the solver gets a private serial context — the
         historical in-process behaviour, bit for bit.
     """
@@ -298,7 +288,7 @@ class CBAS(ContextSolver):
 
         Every expansion from such a start is doomed; pruning them up front
         redirects their budget instead of burning it on
-        ``_MAX_CONSECUTIVE_FAILURES`` stalls per start.
+        ``MAX_CONSECUTIVE_FAILURES`` stalls per start.
         """
         if not problem.connected:
             return
@@ -390,7 +380,7 @@ class CBAS(ContextSolver):
             rng,
             count,
             failures=failures,
-            max_failures=_MAX_CONSECUTIVE_FAILURES,
+            max_failures=MAX_CONSECUTIVE_FAILURES,
         )
 
     def _after_start_stage(

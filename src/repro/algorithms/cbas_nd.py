@@ -27,13 +27,9 @@ import random
 from typing import TYPE_CHECKING, Optional
 
 from repro.algorithms.base import SolveStats
-from repro.algorithms.cbas import (
-    _MAX_CONSECUTIVE_FAILURES,
-    CBAS,
-    CBASWarmState,
-)
+from repro.algorithms.cbas import CBAS, CBASWarmState
 from repro.algorithms.sampling import ExpansionSampler, Sample
-from repro.algorithms.stage_exec import StageExecutor
+from repro.algorithms.stage_exec import MAX_CONSECUTIVE_FAILURES, StageExecutor
 from repro.ce.convergence import BacktrackController
 from repro.ce.probability import SelectionProbabilities
 from repro.core.problem import WASOProblem
@@ -200,7 +196,7 @@ class CBASND(CBAS):
                 count,
                 weight_array=array,
                 failures=failures,
-                max_failures=_MAX_CONSECUTIVE_FAILURES,
+                max_failures=MAX_CONSECUTIVE_FAILURES,
             )
         return sampler.draw_batch(
             seed,
@@ -208,7 +204,7 @@ class CBASND(CBAS):
             count,
             weight_of=vector.probability,
             failures=failures,
-            max_failures=_MAX_CONSECUTIVE_FAILURES,
+            max_failures=MAX_CONSECUTIVE_FAILURES,
         )
 
     def _export_warm_state(self, starts: list) -> CBASWarmState:

@@ -16,8 +16,8 @@ write-off policy, warm starts):
   identical RNG as the historical inline loop, so seeded serial runs are
   bit-for-bit unchanged.
 * :class:`~repro.parallel.stage_pool.ShardedStageExecutor` — splits each
-  funded start's share across a persistent worker pool
-  (:class:`~repro.parallel.stage_pool.StagePool`), merges the compact
+  funded start's share across the persistent worker pool
+  (:class:`~repro.parallel.pool.ResidentPool`), merges the compact
   per-shard summaries, and refits the CE vectors from the *merged* elite
   evidence — the process-based equivalent of the paper's OpenMP loop.
 

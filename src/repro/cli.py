@@ -47,7 +47,7 @@ typed load shedding, SLO-inverted budget routing, and HTTP
 ``/healthz`` / ``/readyz`` / ``/metrics`` probes on the same port.
 ``--tenant name=graph.json`` (repeatable) registers extra graphs beside
 the positional one (tenant ``default``).  The daemon drains on
-SIGINT/SIGTERM: admitted requests are answered, then the pools shut
+SIGINT/SIGTERM: admitted requests are answered, then the pool shuts
 down.
 """
 
@@ -99,7 +99,7 @@ def _add_runtime_arguments(
         help="execution-mode routing: auto (cost-model router), or force "
         "serial / solve (budget split across workers) / stage "
         "(stage-sharded CE).  Seeded `serial` output is identical on "
-        "every machine; `auto` may route big solves to the stage pool, "
+        "every machine; `auto` may stage-shard big solves across the pool, "
         f"whose results depend on the worker count (default: {default_mode})",
     )
     parser.add_argument(
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="how many times a dispatch whose worker crashed is "
         "retried before degrading to in-parent execution "
-        "(default: the pools' built-in budget)",
+        "(default: the pool's built-in budget)",
     )
 
     serve = sub.add_parser(
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-retries",
         type=int,
         default=None,
-        help="crash-retry budget for the pools (default: built-in)",
+        help="crash-retry budget for the pool (default: built-in)",
     )
 
     return parser

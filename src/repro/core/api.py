@@ -7,8 +7,8 @@ for activities without a fixed size the user specifies a range of ``k``
 and inspects the solution for each.
 
 Both entry points execute through the runtime layer: pass an
-:class:`~repro.runtime.context.ExecutionContext` to pick engines, worker
-pools, and parallel-mode routing (and to share those across calls);
+:class:`~repro.runtime.context.ExecutionContext` to pick engines, the
+worker pool, and parallel-mode routing (and to share those across calls);
 without one each call builds a throwaway serial context, which preserves
 the historical single-threaded behaviour exactly.
 """
@@ -96,7 +96,7 @@ def solve_k_range(
     Returns ``{k: SolveResult}`` so the organizer can pick the most
     suitable group size, as the paper proposes for activities without an
     a-priori fixed size.  All solves share one ``context`` (and so one
-    frozen graph index and one set of worker pools).
+    frozen graph index and one worker pool).
     """
     if k_min < 1 or k_max < k_min:
         raise ValueError(

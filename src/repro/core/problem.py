@@ -226,7 +226,7 @@ class WASOProblem:
     def payload_spec(self) -> dict:
         """Everything but the graph, as a small picklable dict.
 
-        A stage-pool worker whose resident arrays match
+        A pool worker whose resident arrays match
         :meth:`payload_token` rebuilds this exact problem with
         :func:`problem_from_payload_spec` — re-plans (a growing
         ``forbidden`` set on an unchanged graph) ship only this spec,

@@ -101,9 +101,9 @@ class SolverError(ReproError):
 class WorkerCrashError(ReproError):
     """A pool worker process died (or its pipe broke) mid-RPC.
 
-    This is the supervision layer's internal signal: the resident pools
-    catch it, respawn the worker, invalidate its residency ledger, and
-    re-dispatch the affected work.  It surfaces to callers only as a
+    This is the supervision layer's internal signal: the resident pool
+    catches it, respawns the worker, invalidates its residency ledger,
+    and re-dispatches the affected work.  It surfaces to callers only as a
     :class:`RequestFailure` with ``kind="worker_crash"`` once the retry
     budget is exhausted.
     """
@@ -118,7 +118,7 @@ class WorkerCrashError(ReproError):
 class DeadlineExpiredError(SolverError):
     """An RPC wait outlived its request's deadline.
 
-    Raised by the pools' timeout-aware waits; the offending dispatch is
+    Raised by the pool's timeout-aware waits; the offending dispatch is
     cancelled (the worker is killed and respawned) and the expired
     request fails into :class:`BatchExecutionError` with a
     ``kind="deadline"`` :class:`RequestFailure` — the rest of the batch

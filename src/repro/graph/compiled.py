@@ -177,14 +177,14 @@ class CompiledGraph:
         self.potential = potential
         #: Identity tag of this freeze.  A re-freeze (graph mutation)
         #: mints a new token while pickling, :meth:`detach`, and worker
-        #: unpickling all preserve it — so a stage-pool worker can tell
+        #: unpickling all preserve it — so a pool worker can tell
         #: "the arrays already resident here" from "a new graph I must be
         #: sent" without comparing the arrays themselves.
         self.payload_token = _new_payload_token()
         #: Directory of this graph's saved on-disk index (set by
         #: ``save``/``load``, see :mod:`repro.graph.storage`), or
         #: ``None`` for a purely in-memory freeze.  A graph with a disk
-        #: home is *path-installable*: the resident pools ship workers
+        #: home is *path-installable*: the resident pool ships workers
         #: the path instead of the array pickle.
         self.disk_home: "str | None" = None
         #: Mutation epoch of this freeze under :meth:`apply_deltas`.  A
@@ -598,8 +598,8 @@ class CompiledGraph:
             del self._delta_log[:overflow]
             self._log_from += overflow
         # The arrays now diverge from any saved on-disk index: drop the
-        # disk home so resident pools ship arrays (or patches) instead of
-        # pointing workers at stale files.
+        # disk home so the resident pool ships arrays (or patches)
+        # instead of pointing workers at stale files.
         self.disk_home = None
         if source is not None:
             # Dicts and arrays were mutated in lockstep: re-adopt this
@@ -771,7 +771,7 @@ class CompiledGraph:
                 "an mmap-backed CompiledGraph cannot be pickled: its "
                 "arrays are views over shared file mappings.  Ship its "
                 f"disk_home path ({self.disk_home!r}) and load it in the "
-                "receiving process instead — the resident pools do this "
+                "receiving process instead — the resident pool does this "
                 "automatically — or call compact() first to materialize "
                 "the arrays in memory (required before pickling a loaded "
                 "index that has pending apply_deltas patches)."

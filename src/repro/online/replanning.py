@@ -26,13 +26,13 @@ of resetting to the homogeneous prior.  Each solve's
 
 Runtime integration: the planner executes through an
 :class:`~repro.runtime.context.ExecutionContext` — passed in, adopted
-from the solver, or a private serial one — which owns the worker pools
-and the warm-state storage.  Both pools are resident
-(:mod:`repro.parallel.residency`): when the context (or a solver-level
-:class:`~repro.parallel.stage_pool.ShardedStageExecutor`) keeps a stage
-pool warm, or when re-plans route to the solve-level
-:class:`~repro.parallel.pool.ResidentSolvePool`, the planner's re-plans
-reuse that pool *and* the graph arrays already resident in it.  By
+from the solver, or a private serial one — which owns the worker pool
+and the warm-state storage.  The pool is resident
+(:mod:`repro.parallel.residency`): whether re-plans are stage-sharded
+(through the context or a solver-level :class:`~repro.parallel.
+stage_pool.ShardedStageExecutor`) or multiplexed as chunks, they reuse
+the same :class:`~repro.parallel.pool.ResidentPool` *and* the graph
+arrays already resident in it.  By
 default declines only grow the ``forbidden`` set, which leaves the
 frozen index (and therefore its payload token) unchanged, so each
 re-plan ships an O(1) problem spec instead of the O(V+E) graph.  With
@@ -40,7 +40,7 @@ re-plan ships an O(1) problem spec instead of the O(V+E) graph.  With
 incident edges* — the graph really shrinks, as in paper §4.4.1 — via
 :meth:`~repro.graph.compiled.CompiledGraph.apply_deltas`: the frozen
 index is patched in place (same payload token, bumped generation), the
-resident pools ship only the O(|delta|) ``graph_patch`` record instead
+resident pool ships only the O(|delta|) ``graph_patch`` record instead
 of re-installing the arrays, and the planner's stored warm state is
 re-stamped so start nodes and CE vectors survive the mutation.  The
 shared accounting exposes this uniformly:
@@ -48,7 +48,7 @@ shared accounting exposes this uniformly:
 and ``False`` for every warm re-plan (``graph_installs`` stays 0 and
 ``graph_patch_bytes`` records the patch traffic when pruning).
 Use the planner as a context manager (or call :meth:`OnlinePlanner.
-close`) to release the pools when the planning session ends.
+close`) to release the pool when the planning session ends.
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ class OnlinePlanner:
         The :class:`~repro.runtime.context.ExecutionContext` planning
         runs through.  When omitted the planner adopts the solver's
         context (or builds its default solver through a private serial
-        one).  The context owns the resident pools — so replans and
-        fresh solves share one pool — and the warm-state storage.
+        one).  The context owns the resident pool — so replans and
+        fresh solves share it — and the warm-state storage.
     """
 
     def __init__(
@@ -149,7 +149,7 @@ class OnlinePlanner:
 
             context = ExecutionContext(mode="serial")
         # Co-own the context for the planning session: release() in
-        # close() tears the pools down only once every owner is done.
+        # close() tears the pool down only once every owner is done.
         self.context = context.acquire()
         self._warm_key = ("online-planner", next(_PLANNER_TOKENS))
         self.rng = coerce_rng(rng)
@@ -268,11 +268,11 @@ class OnlinePlanner:
         A stage-sharded solver keeps a worker pool warm between re-plans
         so the graph stays resident; closing the planner closes a
         solver-level executor (which tears the pool down only if the
-        executor owns it — a caller-shared :class:`~repro.parallel.
-        stage_pool.StagePool` stays up for other solvers) and releases
-        the planner's co-ownership of its :class:`~repro.runtime.
-        context.ExecutionContext` — the context's pools close once the
-        last owner lets go.
+        executor owns it — a caller-shared :class:`~repro.parallel.pool.
+        ResidentPool` stays up for other solvers) and releases the
+        planner's co-ownership of its :class:`~repro.runtime.context.
+        ExecutionContext` — the context's pool closes once the last
+        owner lets go.
         """
         if self._closed:
             return
@@ -294,7 +294,7 @@ class OnlinePlanner:
         """Drop ``node``'s incident edges via an in-place delta patch.
 
         The compiled index keeps its payload token and bumps its
-        generation, so resident pools patch warm workers instead of
+        generation, so the resident pool patches warm workers instead of
         re-shipping the arrays.  The planner's stored warm state is
         re-stamped afterwards — the mutation count moved, but the start
         nodes and CE vectors were earned on this very graph and stay

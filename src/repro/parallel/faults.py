@@ -1,16 +1,17 @@
-"""Deterministic fault injection for the resident worker pools.
+"""Deterministic fault injection for the resident worker pool.
 
-The self-healing machinery in :mod:`repro.parallel.residency` (liveness
-detection, respawn, ledger invalidation, chunk retry, deadline
-cancellation) is only trustworthy if its exact behaviour can be
-asserted — "kill a worker and see if it recovers" is not a test unless
-*which* worker dies, *when*, is reproducible.  This module provides that
+The self-healing machinery of :class:`~repro.parallel.pool.
+ResidentPool` (liveness detection, respawn, ledger invalidation, chunk
+and shard retry, deadline cancellation) is only trustworthy if its
+exact behaviour can be asserted — "kill a worker and see if it
+recovers" is not a test unless *which* worker dies, *when*, is
+reproducible.  This module provides that
 reproducibility: a :class:`FaultPlan` names faults by ``(worker,
 rpc)`` coordinates, where ``rpc`` counts the parent's sends to that
-worker slot (1-based, monotone across respawns), and both pools consult
-the plan at their single send/receive choke points
-(:meth:`~repro.parallel.residency.WorkerPoolBase._send_bytes` /
-:meth:`~repro.parallel.residency.WorkerPoolBase._recv`).
+worker slot (1-based, monotone across respawns), and the pool consults
+the plan at its single send/receive choke points
+(:meth:`~repro.parallel.pool.ResidentPool._send` /
+:meth:`~repro.parallel.pool.ResidentPool._recv`).
 
 Three fault kinds, mirroring the failure modes a long-lived serving
 process actually sees:
@@ -33,7 +34,7 @@ suite (``tests/test_faults.py``) asserts equality against fault-free
 runs at every dispatch position.
 
 The serving daemon (:mod:`repro.serving`) added a fourth fault surface
-above the pools — its dispatch loop.  A plan can therefore also carry
+above the pool — its dispatch loop.  A plan can therefore also carry
 
 * **stalls** — hold the daemon's queue for the given number of seconds
   immediately before it drains its ``seq``-th batch (1-based).  A stall
@@ -44,9 +45,9 @@ above the pools — its dispatch loop.  A plan can therefore also carry
   depends only on the arrival order, never on timing races.
 
 Worker kills/drops/delays compose with the daemon transparently: the
-daemon installs the same plan on its context's pools, so a kill fires
-mid-request underneath a served batch exactly as it would under a
-direct ``solve_many``.
+daemon installs the same plan on its context's pool, so a kill fires
+mid-request underneath a served batch — chunk-routed or stage-routed —
+exactly as it would under a direct ``solve_many``.
 
 :class:`ArrivalScript` is the other half of daemon chaos: a
 deterministic open-loop arrival schedule (bursts, uniform rates, seeded
@@ -54,7 +55,7 @@ Poisson processes) that the chaos suite and the serving bench replay
 against the daemon, so an overload scenario that exposed a shedding bug
 can be reproduced exactly.
 
-The hook is test-only by design: pools expose a ``fault_plan``
+The hook is test-only by design: the pool exposes a ``fault_plan``
 attribute, ``None`` by default, with zero cost on the hot path beyond
 one attribute check.  Production code must never set it.
 """
@@ -95,7 +96,7 @@ class FaultPlan:
         loop: hold the queue for that long immediately before the
         daemon drains its ``batch``-th batch (1-based; ``batch`` may be
         :data:`NEXT_RPC` to stall the next drain regardless of
-        position).  Ignored by the pools — only
+        position).  Ignored by the pool — only
         :class:`~repro.serving.daemon.ServingDaemon` consults it.
 
     Each fault fires at most once; :attr:`log` records every firing as

@@ -1,15 +1,15 @@
-"""Shared graph-residency machinery for the persistent worker pools.
+"""Graph-residency machinery for the resident worker pool.
 
-Both parallel modes keep the O(V+E) detached
-:class:`~repro.graph.compiled.CompiledGraph` arrays *resident* in their
+Both parallel dispatch shapes keep the O(V+E) detached
+:class:`~repro.graph.compiled.CompiledGraph` arrays *resident* in the
 worker processes so a serving session ships each frozen graph **exactly
 once per (graph, worker) pair** — follow-up solves, batches, and online
 re-planning rounds send only the O(1)
 :meth:`~repro.core.problem.WASOProblem.payload_spec` plus per-request
-seeds and budgets.  This module is the single implementation of that
-protocol; :class:`~repro.parallel.stage_pool.StagePool` (stage-level)
-and :class:`~repro.parallel.pool.ResidentSolvePool` (solve-level) both
-build on it instead of duplicating the bookkeeping.
+seeds and budgets.  This module is the protocol's data side: the worker
+cache, the parent's per-worker mirror of it, the install-or-patch
+decision, and the ``SolveStats.extra`` accounting;
+:class:`~repro.parallel.pool.ResidentPool` is its only user.
 
 The protocol has three parts:
 
@@ -45,19 +45,14 @@ The protocol has three parts:
 
 from __future__ import annotations
 
-import multiprocessing
-import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import Iterable, Optional
-
-from repro.exceptions import DeadlineExpiredError, WorkerCrashError
 
 __all__ = [
     "DEFAULT_RESIDENT_GRAPHS",
     "DEFAULT_MAX_RETRIES",
     "ResidentGraphStore",
     "ResidencyLedger",
-    "WorkerPoolBase",
     "plan_graph_message",
     "apply_graph_patch",
     "record_shipping",
@@ -71,10 +66,10 @@ __all__ = [
 #: every worker; sessions over fewer graphs never evict at all.
 DEFAULT_RESIDENT_GRAPHS = 4
 
-#: How many times a crashed dispatch (a solve-pool chunk, a stage
-#: shard) is re-sent to a respawned worker before the failure is
-#: reported (solve pool) or the work falls back to in-parent execution
-#: (stage pool).  Every dispatch carries explicit seeds, so a retry is
+#: How many times a crashed dispatch (a chunk, a stage shard) is re-sent
+#: to a respawned worker before the failure is reported (chunk) or the
+#: work falls back to in-parent execution (stage shard).  Every
+#: dispatch carries explicit seeds, so a retry is
 #: bit-identical to the original — the bound exists only to stop a
 #: deterministically-crashing dispatch (e.g. a worker OOM reproduced by
 #: its own payload) from respawn-looping forever.
@@ -245,9 +240,10 @@ class ResidencyLedger:
 def plan_graph_message(ledger, token, compiled, ship, evictions, payload):
     """Resolve one worker's graph message after ``ledger.plan``.
 
-    The single decision point both pools share for the mutable-graph
-    protocol.  ``ship``/``evictions`` are :meth:`ResidencyLedger.plan`'s
-    answer; ``payload()`` lazily produces the full-install pickle object
+    The single decision point of the pool's install planner for the
+    mutable-graph protocol.  ``ship``/``evictions`` are
+    :meth:`ResidencyLedger.plan`'s answer; ``payload()`` lazily produces
+    the full-install pickle object
     (a detached :class:`~repro.graph.compiled.CompiledGraph`), called
     only when an array install is actually needed.
 
@@ -311,244 +307,6 @@ def apply_graph_patch(store: "ResidentGraphStore", token, generation, batches):
         )
 
 
-class WorkerPoolBase:
-    """Process-lifecycle scaffolding shared by the resident pools.
-
-    Owns the spawn loop (one pipe-connected daemon process per worker),
-    hang-free idempotent :meth:`close` (graceful ``("close",)`` message,
-    bounded drain, terminate, kill), context-manager support — and the
-    *supervision* layer both pools' self-healing builds on:
-
-    * :meth:`_send_bytes` / :meth:`_recv` are the single send/receive
-      choke points.  Every send increments the worker's RPC sequence
-      number (monotone per worker *slot*, surviving respawns) and every
-      wait polls with liveness detection, so a dead worker surfaces as
-      :class:`~repro.exceptions.WorkerCrashError` instead of a hung
-      ``recv`` — and a wait given a deadline raises
-      :class:`~repro.exceptions.DeadlineExpiredError` when it passes
-      without a reply (a reply that is already available is always
-      delivered: completed work is never discarded for missing a
-      deadline while queued).
-    * :meth:`respawn` replaces a dead (or cancellation-killed) worker
-      with a fresh process and calls the :meth:`_on_respawn` hook, where
-      subclasses invalidate the worker's residency ledger — the
-      respawned worker's :class:`ResidentGraphStore` is empty, so every
-      mirrored token must be forgotten for the generation-tag protocol
-      to re-ship what the retried dispatches need.
-    * ``fault_plan`` (default ``None``) is the test-only hook for
-      :class:`~repro.parallel.faults.FaultPlan`: deterministic kills,
-      reply drops, and reply delays keyed by ``(worker, rpc)``, checked
-      at the same two choke points.
-
-    :meth:`_fail` remains the terminal path for *protocol* errors (a
-    worker replying with a message-level error, i.e. a bug rather than
-    a crash): the pool tears itself down and raises.
-    """
-
-    def __init__(self, workers: int, worker_main) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be positive, got {workers}")
-        self._mp = multiprocessing.get_context()
-        self._worker_main = worker_main
-        self._procs = []
-        self._conns = []
-        for _ in range(workers):
-            proc, conn = self._spawn_worker()
-            self._procs.append(proc)
-            self._conns.append(conn)
-        #: RPCs sent per worker slot (1-based sequence; monotone across
-        #: respawns, so a fault plan can name any point in the session).
-        self._sends = [0] * workers
-        #: Send-sequence numbers awaiting replies, per worker, in order
-        #: — replies arrive in send order per pipe, so the head is the
-        #: RPC the next reply answers (fault plans key dispositions on
-        #: it).  Cleared on respawn: a fresh worker owes nothing.
-        self._awaiting: "list[deque]" = [deque() for _ in range(workers)]
-        #: Worker processes respawned over the pool's lifetime.
-        self.worker_restarts = 0
-        #: Test-only :class:`~repro.parallel.faults.FaultPlan` hook.
-        self.fault_plan = None
-        self._closed = False
-
-    def _spawn_worker(self):
-        parent_conn, child_conn = self._mp.Pipe()
-        proc = self._mp.Process(
-            target=self._worker_main, args=(child_conn,), daemon=True
-        )
-        proc.start()
-        child_conn.close()
-        return proc, parent_conn
-
-    @property
-    def workers(self) -> int:
-        return len(self._procs)
-
-    # ------------------------------------------------------------------
-    # Supervised RPC primitives
-    # ------------------------------------------------------------------
-    def _send_bytes(self, worker: int, data: bytes) -> None:
-        """Send one pre-pickled message to ``worker`` (never raises).
-
-        A send into a dead worker's pipe either lands in the OS buffer
-        or fails outright; both leave the same observable state — no
-        reply will ever come — so send failures are swallowed here and
-        the crash surfaces at the next :meth:`_recv`'s liveness check,
-        keeping one recovery path instead of two.
-        """
-        self._sends[worker] += 1
-        seq = self._sends[worker]
-        plan = self.fault_plan
-        if plan is not None and plan.kill_before_send(worker, seq):
-            self._procs[worker].kill()
-            self._procs[worker].join(timeout=5.0)
-        self._awaiting[worker].append(seq)
-        try:
-            self._conns[worker].send_bytes(data)
-        except (BrokenPipeError, OSError):
-            pass
-
-    def _recv(self, worker: int, deadline: "Optional[float]" = None):
-        """Wait for ``worker``'s next reply with liveness and deadline.
-
-        Raises :class:`~repro.exceptions.WorkerCrashError` when the
-        process is dead with no buffered reply, and
-        :class:`~repro.exceptions.DeadlineExpiredError` when
-        ``deadline`` (a ``time.monotonic()`` instant) passes first.  A
-        reply that is already available is delivered even at or past the
-        deadline — the work is done; only a *missing* reply expires.
-        """
-        conn = self._conns[worker]
-        queue = self._awaiting[worker]
-        plan = self.fault_plan
-        disposition = None
-        if plan is not None and queue:
-            disposition = plan.reply_disposition(worker, queue[0])
-        held = None
-        hold_until = 0.0
-        while True:
-            ready = held is None and conn.poll(0)
-            if not ready:
-                now = time.monotonic()
-                if held is not None and now >= hold_until:
-                    if queue:
-                        queue.popleft()
-                    return held
-                if deadline is not None and now >= deadline:
-                    raise DeadlineExpiredError(worker)
-                if held is None:
-                    if not self._procs[worker].is_alive() and not conn.poll(0):
-                        raise WorkerCrashError(worker)
-                    if not conn.poll(0.02):
-                        continue
-                else:
-                    time.sleep(min(0.02, hold_until - now))
-                    continue
-            try:
-                reply = conn.recv()
-            except (EOFError, OSError):
-                raise WorkerCrashError(worker) from None
-            if disposition == "drop":
-                # Injected reply loss: the message is gone; the wait
-                # continues (and starves into its deadline, if any).
-                disposition = None
-                continue
-            if disposition is not None:
-                # Injected delay: hold the reply, then deliver — unless
-                # the deadline fires first, in which case the dispatch
-                # is cancelled exactly as with a genuinely late worker.
-                held = reply
-                hold_until = time.monotonic() + float(disposition)
-                disposition = None
-                continue
-            if queue:
-                queue.popleft()
-            return reply
-
-    def respawn(self, worker: int) -> None:
-        """Replace ``worker``'s process with a fresh one.
-
-        Used both for genuinely dead workers and as the cancellation
-        path for an expired deadline (the only way to cancel a dispatch
-        already executing in a worker is to kill the worker).  The old
-        process is killed and joined (no zombies), the pipe replaced,
-        pending-reply bookkeeping cleared, and :meth:`_on_respawn` lets
-        the subclass invalidate the worker's residency ledger — the
-        fresh worker holds nothing.
-        """
-        old = self._procs[worker]
-        if old.is_alive():
-            old.kill()
-        old.join(timeout=5.0)
-        try:
-            self._conns[worker].close()
-        except OSError:  # pragma: no cover - already broken
-            pass
-        self._procs[worker], self._conns[worker] = self._spawn_worker()
-        self._awaiting[worker].clear()
-        self.worker_restarts += 1
-        self._on_respawn(worker)
-
-    def _on_respawn(self, worker: int) -> None:
-        """Subclass hook: reset the worker's parent-side mirrors."""
-
-    def _fail(self, reason: str) -> None:
-        """Tear the pool down after a protocol-level failure and raise."""
-        self.close()
-        raise RuntimeError(reason)
-
-    def close(self) -> None:
-        """Shut the workers down (idempotent, hang-free).
-
-        Dead or wedged workers must never block shutdown: the graceful
-        ``("close",)`` send is best-effort, the join budget is shared
-        across all workers rather than paid per process, and stragglers
-        are escalated terminate → kill.  Safe to call any number of
-        times, including when every worker already crashed.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        for conn in self._conns:
-            try:
-                conn.send(("close",))
-            except (BrokenPipeError, OSError, ValueError):
-                pass
-        deadline = time.monotonic() + 2.0
-        for proc in self._procs:
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-        for proc in self._procs:
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.terminate()
-        deadline = time.monotonic() + 2.0
-        for proc in self._procs:
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.join(timeout=max(0.05, deadline - time.monotonic()))
-                if proc.is_alive():
-                    proc.kill()
-                    proc.join(timeout=1.0)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self._closed else "open"
-        return f"{type(self).__name__}(workers={self.workers}, {state})"
-
-
 def record_shipping(
     extra: dict,
     shipped: bool,
@@ -558,7 +316,7 @@ def record_shipping(
 ) -> None:
     """Uniform ``SolveStats.extra`` accounting for residency shipping.
 
-    Every consumer of a resident pool — the stage-sharded executor, the
+    Every consumer of the resident pool — the stage-sharded executor, the
     ``solve_many`` multiplexer, and the best-of budget split — records
     its shipping through this one function so the keys (and therefore
     the bench overhead curves) stay comparable:

@@ -1,4 +1,4 @@
-"""Stage-sharded parallel CE execution over a persistent worker pool.
+"""Stage-sharded parallel CE execution on the resident worker pool.
 
 This is the process-based equivalent of the paper's OpenMP loop
 (Fig. 5(d)): the sample draws *inside* each CBAS / CBAS-ND stage are
@@ -10,18 +10,15 @@ refits each worker's CE vector from 1/W of the evidence.
 
 Architecture
 ------------
-* :class:`StagePool` — W long-lived worker processes, each holding the
+* :class:`~repro.parallel.pool.ResidentPool` — the W long-lived worker
+  processes, shared with ``solve_many``'s chunks.  They hold the
   problem's frozen :class:`~repro.graph.compiled.CompiledGraph` arrays
-  *resident* across stages, solves, and online re-planning rounds,
-  through the shared residency protocol of
-  :mod:`repro.parallel.residency` (the solve-level
-  :class:`~repro.parallel.pool.ResidentSolvePool` speaks the same one).
-  Payloads are keyed by :attr:`~repro.graph.compiled.CompiledGraph.
-  payload_token`: a re-plan on the same graph ships only the O(1)
-  problem spec (``k`` / ``required`` / ``forbidden``), a graph mutation
-  mints a new token and transparently invalidates the resident arrays,
-  and long sessions over many graphs evict least-recently-used entries
-  from the bounded worker caches.
+  *resident* across stages, solves, batches, and online re-planning
+  rounds (:mod:`repro.parallel.residency`): a re-plan on the same graph
+  ships only the O(1) problem spec (``k`` / ``required`` /
+  ``forbidden``), a graph mutation mints a new token and transparently
+  invalidates the resident arrays, and long sessions over many graphs
+  evict least-recently-used entries from the bounded worker caches.
 * :class:`ShardedStageExecutor` — the :class:`~repro.algorithms.
   stage_exec.StageExecutor` strategy solvers plug in.  Per stage it
   splits every funded start node's budget share into per-worker shards
@@ -58,569 +55,33 @@ from __future__ import annotations
 
 import itertools
 import pickle
-import random
-import time
-import traceback
 from typing import Optional
 
-from repro.algorithms.sampling import (
-    ExpansionSampler,
-    Sample,
-    seed_for_start,
-    summarize_shard,
-)
+from repro.algorithms.sampling import Sample
 from repro.algorithms.stage_exec import (
     MAX_CONSECUTIVE_FAILURES,
     StageContext,
     StageExecutor,
 )
-from repro.ce.probability import SelectionProbabilities
-from repro.core.problem import problem_from_payload_spec
-from repro.core.willingness import FastWillingnessEvaluator
-from repro.graph.compiled import CompiledGraph
-from repro.exceptions import WorkerCrashError
-from repro.parallel.pool import split_budget
-from repro.parallel.residency import (
-    DEFAULT_MAX_RETRIES,
-    DEFAULT_RESIDENT_GRAPHS,
-    ResidencyLedger,
-    ResidentGraphStore,
-    WorkerPoolBase,
-    apply_graph_patch,
-    plan_graph_message,
-    record_recovery,
-    record_shipping,
+from repro.parallel.pool import (
+    ResidentPool,
+    _solve_worker_main,
+    _WorkerSolveState,
+    split_budget,
 )
+from repro.parallel.residency import record_recovery, record_shipping
 
-__all__ = ["StagePool", "ShardedStageExecutor"]
+__all__ = ["ShardedStageExecutor"]
+
+# perfbench/tracing.py looks up the stage-shard methods under this name.
+StagePool = ResidentPool
+# perfbench/tracing.py wraps the worker loop under this name too.
+_stage_worker_main = _solve_worker_main
 
 #: Solve ids are unique per parent process so a worker can detect stage
 #: requests for a solve it was never set up for.
 _SOLVE_COUNTER = itertools.count()
 
-
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-def _apply_patch(vector: SelectionProbabilities, patch: tuple) -> None:
-    """Replay one parent-side vector change on a worker mirror."""
-    kind = patch[0]
-    if kind == "round":
-        vector.apply_round(patch[1], patch[2])
-    elif kind == "full":
-        vector.restore(patch[1])
-    else:  # pragma: no cover - protocol guard
-        raise ValueError(f"unknown vector patch kind {kind!r}")
-
-
-class _WorkerSolveState:
-    """One solve's worker-resident execution state.
-
-    Rebuilt per solve from the resident compiled arrays plus the small
-    solve spec: the problem, the shared sampler (whose per-seed cache
-    amortizes across all stages of the solve), and — for CBAS-ND — one
-    mirror probability vector per start node, kept in sync with the
-    parent by replaying refit patches.
-    """
-
-    def __init__(self, compiled, spec: dict) -> None:
-        self.solve_id = spec["solve_id"]
-        problem = problem_from_payload_spec(compiled, spec["problem"])
-        self.engine = spec.get("engine", "compiled")
-        if self.engine == "vector":
-            from repro.vector import VectorWillingnessEvaluator
-
-            evaluator = VectorWillingnessEvaluator(compiled)
-        else:
-            evaluator = FastWillingnessEvaluator(compiled)
-        self.sampler = ExpansionSampler(problem, evaluator)
-        if self.engine == "vector":
-            # Shared solve-level Philox base key: every shard's uniforms
-            # are a pure function of (key, start, planned draw ordinal),
-            # not of which worker draws them.
-            self.sampler.vector_key = spec["vector_key"]
-        self.seeds = [seed_for_start(problem, start) for start in spec["starts"]]
-        self.mode = spec["mode"]
-        self.max_failures = spec["max_failures"]
-        self.vectors: "list[SelectionProbabilities] | None" = None
-        if self.mode == "ce":
-            # Bit-identical to the parent's cold vectors: same candidate
-            # order (compiled node order minus forbidden), same k, same
-            # rebuilt index_of.  Warm vectors ship their arrays.
-            template = SelectionProbabilities(
-                problem.candidates(),
-                problem.k,
-                index_of=compiled.index_of,
-                size=compiled.number_of_nodes,
-                backend="numpy" if self.engine == "vector" else "list",
-            )
-            vectors = []
-            for initial in spec["vectors"]:
-                vector = template.replicate()
-                if initial is not None:
-                    vector.restore(initial)
-                vectors.append(vector)
-            self.vectors = vectors
-
-    def run_entry(self, entry: dict):
-        """Draw one shard and reduce it to a :class:`ShardSummary`."""
-        index = entry["start"]
-        weight_array = None
-        if self.vectors is not None:
-            vector = self.vectors[index]
-            for patch in entry["sync"]:
-                _apply_patch(vector, patch)
-            weight_array = vector.array
-        carry = entry["failures"]
-        if self.engine == "vector":
-            # Positional randomness: no per-shard RNG seed at all — the
-            # entry's planned first-draw ordinal addresses the Philox
-            # stream directly.
-            batch = self.sampler.draw_batch_vector(
-                [
-                    {
-                        "start_key": index,
-                        "seed": self.seeds[index],
-                        "first_draw": entry["first_draw"],
-                        "count": entry["count"],
-                        "failures": carry,
-                    }
-                ],
-                mode=self.mode,
-                weight_rows=(
-                    [weight_array] if self.mode == "ce" else None
-                ),
-                max_failures=self.max_failures,
-            )[0]
-        else:
-            rng = random.Random(entry["seed"])
-            batch = self.sampler.draw_batch(
-                self.seeds[index],
-                rng,
-                entry["count"],
-                weight_array=weight_array,
-                failures=carry,
-                max_failures=self.max_failures,
-            )
-        return summarize_shard(
-            batch,
-            entry["keep_rank"],
-            max_failures=self.max_failures,
-            carry_failures=carry,
-        )
-
-
-def _stage_worker_main(conn) -> None:
-    """Worker process loop: resident graphs + per-solve state + stage RPC."""
-    store = ResidentGraphStore()
-    solve: "Optional[_WorkerSolveState]" = None
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        kind = message[0]
-        if kind == "close":
-            break
-        try:
-            if kind == "graph":
-                _, token, compiled, evict = message
-                store.install(token, compiled, evict)
-                reply = ("ok", token)
-            elif kind == "graph_path":
-                # Zero-copy install: map the frozen on-disk index named
-                # by the manifest path instead of receiving a pickle.
-                # verify=False — the parent validated the manifest and
-                # the token is content-derived (see pool.py's twin).
-                _, token, path, evict = message
-                compiled = CompiledGraph.load(path, mmap=True, verify=False)
-                if compiled.payload_token != token:
-                    raise RuntimeError(
-                        f"frozen index at {path!r} resolves to token "
-                        f"{compiled.payload_token!r}, expected {token!r}"
-                    )
-                store.install(token, compiled, evict)
-                reply = ("ok", token)
-            elif kind == "graph_patch":
-                # Sparse upgrade of a resident graph: replay the
-                # parent's delta batches against the arrays already
-                # here — O(|delta|) bytes instead of a full re-install.
-                _, token, generation, batches = message
-                apply_graph_patch(store, token, generation, batches)
-                reply = ("ok", token)
-            elif kind == "solve":
-                _, spec = message
-                token = spec["problem"]["token"]
-                solve = _WorkerSolveState(store.get(token), spec)
-                reply = ("ok", solve.solve_id)
-            elif kind == "stage":
-                _, solve_id, entries = message
-                if solve is None or solve.solve_id != solve_id:
-                    raise RuntimeError(
-                        f"stage request for unknown solve {solve_id!r}"
-                    )
-                reply = ("ok", [solve.run_entry(entry) for entry in entries])
-            else:
-                raise RuntimeError(f"unknown stage-pool message {kind!r}")
-        except BaseException:
-            reply = ("error", traceback.format_exc())
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
-            break
-    conn.close()
-
-
-# ----------------------------------------------------------------------
-# Parent side
-# ----------------------------------------------------------------------
-class StagePool(WorkerPoolBase):
-    """W persistent worker processes with resident graph payloads.
-
-    The pool outlives individual solves: create it once, hand it to any
-    number of :class:`ShardedStageExecutor` solves (one at a time), and
-    :meth:`close` it when done (also usable as a context manager).
-    Workers keep installed graphs' frozen arrays resident — bounded to
-    ``resident_graphs`` entries with LRU eviction, per the shared
-    protocol in :mod:`repro.parallel.residency` — so repeated solves and
-    online re-planning rounds on one graph pay the O(V+E) payload
-    shipping exactly once.  Installs normally broadcast to every worker,
-    but each worker keeps its own ledger mirror: after a respawn the
-    fresh worker's (reset) ledger diverges from its siblings', and
-    :meth:`ensure_resident` re-ships only where the arrays are missing.
-
-    The pool is *self-healing*: a worker that dies mid-stage is
-    respawned and brought back to the current solve (graph re-install,
-    solve spec re-send), and its shard is re-dispatched — with the
-    caller's ``rebuild`` hook refreshing the CE-vector sync patches to
-    the full history the rebuilt mirrors need — up to ``max_retries``
-    times with bounded backoff.  Shard entries carry explicit seeds, so
-    a retried shard draws bit-identically.  When retries run out the
-    shard runs through the caller's ``fallback`` hook (the executor
-    computes it in-parent), the pool goes ``healthy = False``, and the
-    worker is healed lazily before the next stage.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        resident_graphs: int = DEFAULT_RESIDENT_GRAPHS,
-        max_retries: int = DEFAULT_MAX_RETRIES,
-    ) -> None:
-        super().__init__(workers, _stage_worker_main)
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        self.max_retries = max_retries
-        self._resident_graphs = resident_graphs
-        self._ledgers = [
-            ResidencyLedger(resident_graphs) for _ in range(workers)
-        ]
-        #: Install *events* (an :meth:`ensure_resident` call that shipped
-        #: to at least one worker).  Fault-free sessions broadcast every
-        #: install, so this matches the historical one-ledger count.
-        self._install_events = 0
-        self._mru_token: "Optional[str]" = None
-        #: What crash recovery needs to rebuild a worker: the problem
-        #: whose graph the current solve runs on, and the solve spec.
-        self._current_problem = None
-        self._current_spec: "Optional[dict]" = None
-        #: Workers awaiting lazy recovery (post-fallback) before the
-        #: next stage can be dispatched to them.
-        self._needs_recovery: "set[int]" = set()
-        #: Wire bytes of the most recent :meth:`ensure_resident` install
-        #: (0 when the graph was already resident) — the stage executor
-        #: records it through the shared accounting.
-        self.last_install_bytes = 0
-        #: Of which: bytes of sparse ``graph_patch`` upgrades sent to
-        #: stale-but-resident workers (not counted as install events).
-        self.last_patch_bytes = 0
-        #: Lifetime recovery accounting (executors snapshot deltas).
-        self.shard_retries = 0
-        self.fallback_shards = 0
-        #: Sticky health flag: cleared when a shard exhausts its retry
-        #: budget and has to run through the fallback.
-        self.healthy = True
-
-    # ------------------------------------------------------------------
-    @property
-    def installs(self) -> int:
-        """Number of graph payload installs performed (tests / stats)."""
-        return self._install_events
-
-    @property
-    def resident_token(self) -> Optional[str]:
-        """Most recently used graph token resident in the workers."""
-        return self._mru_token
-
-    # ------------------------------------------------------------------
-    def _on_respawn(self, worker: int) -> None:
-        # The fresh worker's ResidentGraphStore is empty: forget its
-        # mirror so the recovery install ships what retries need.
-        self._ledgers[worker].reset()
-
-    def _broadcast(self, message) -> int:
-        # Serialize once and fan the bytes out: Connection.send would
-        # re-pickle the message per worker, which matters for the
-        # O(V+E) graph install (the workers' recv() unpickles either way).
-        data = pickle.dumps(message)
-        for worker in range(self.workers):
-            self._send_bytes(worker, data)
-        return len(data) * self.workers
-
-    def _expect_ok(self, worker: int):
-        """One supervised reply from ``worker``; protocol errors are
-        terminal (the pool closes itself and raises)."""
-        kind, payload = self._recv(worker)
-        if kind == "error":
-            self._fail(
-                f"stage-pool worker {worker} failed; the pool has been "
-                f"closed:\n{payload}"
-            )
-        return payload
-
-    def _recover_worker(self, worker: int) -> None:
-        """Bring a freshly respawned worker back to the current solve.
-
-        Re-installs the current problem's graph (the reset ledger says
-        "ship") and re-sends the solve spec; the caller then re-sends
-        whatever dispatch the dead worker owed.  May raise
-        :class:`~repro.exceptions.WorkerCrashError` if the replacement
-        dies too — callers loop with a retry budget.
-        """
-        problem = self._current_problem
-        if problem is None:
-            return
-        token = problem.payload_token()
-        compiled = problem.compiled()
-        ledger = self._ledgers[worker]
-        ship, evictions = ledger.plan(token)
-        # A respawned worker's reset ledger answers "ship" — crash
-        # recovery is a full install at the *current* generation (the
-        # replayed patch history is already folded into the arrays); a
-        # merely-stale survivor gets the sparse patch instead.
-        message, _ = plan_graph_message(
-            ledger, token, compiled, ship, evictions, compiled.detach
-        )
-        if message is not None:
-            self._send_bytes(worker, pickle.dumps(message))
-            self._expect_ok(worker)
-        if self._current_spec is not None:
-            self._send_bytes(
-                worker, pickle.dumps(("solve", self._current_spec))
-            )
-            self._expect_ok(worker)
-
-    def _await_ack(self, worker: int) -> None:
-        """Await one setup ack (install / solve), healing crashes.
-
-        A worker that dies during setup is respawned and rebuilt via
-        :meth:`_recover_worker` — which itself re-sends the install and
-        spec, so once recovery succeeds there is no further ack to
-        await.
-        """
-        attempts = 0
-        recovering = False
-        while True:
-            try:
-                if recovering:
-                    self._recover_worker(worker)
-                    return
-                self._expect_ok(worker)
-                return
-            except WorkerCrashError:
-                if attempts >= self.max_retries:
-                    self._fail(
-                        f"stage-pool worker {worker} keeps dying during "
-                        "solve setup; the pool has been closed"
-                    )
-                attempts += 1
-                self.respawn(worker)
-                recovering = True
-                time.sleep(min(0.01 * (2 ** (attempts - 1)), 0.1))
-
-    def heal(self) -> "list[int]":
-        """Recover workers left torn down by a fallback, lazily.
-
-        Returns the healed worker indices so the executor can reset its
-        per-worker sync bookkeeping (the rebuilt CE mirrors start from
-        the initial vectors again).
-        """
-        healed = []
-        for worker in sorted(self._needs_recovery):
-            attempts = 0
-            while True:
-                try:
-                    self._recover_worker(worker)
-                    break
-                except WorkerCrashError:
-                    if attempts >= self.max_retries:
-                        self._fail(
-                            f"stage-pool worker {worker} keeps dying "
-                            "during recovery; the pool has been closed"
-                        )
-                    attempts += 1
-                    self.respawn(worker)
-                    time.sleep(min(0.01 * (2 ** (attempts - 1)), 0.1))
-            healed.append(worker)
-        self._needs_recovery.clear()
-        return healed
-
-    # ------------------------------------------------------------------
-    def ensure_resident(self, problem) -> bool:
-        """Install ``problem``'s frozen graph arrays where missing.
-
-        Returns ``True`` when full graph arrays were actually shipped,
-        ``False`` when the workers already held this freeze (re-plans,
-        repeated solves) — including when stale-but-resident copies were
-        brought current with sparse ``graph_patch`` messages
-        (``last_patch_bytes``; a patch is not an install).  The full
-        payload is the dict-free detached index — the same slim arrays
-        :func:`~repro.parallel.pool.parallel_solve` ships.  Per-worker
-        ledgers mean a respawned worker gets the arrays again while its
-        warm siblings only get what they lack.
-        """
-        if self._closed:
-            raise RuntimeError("stage pool is closed")
-        token = problem.payload_token()
-        compiled = problem.compiled()
-        self._current_problem = problem
-        # A solve boundary: the previous solve's spec is over, and a
-        # crash recovered during this install must not replay it — the
-        # old spec can name an older graph generation than the arrays
-        # recovery just installed.  ``start_solve`` ships the new one.
-        self._current_spec = None
-        self._mru_token = token
-        detached = None
-
-        def payload():
-            nonlocal detached
-            if detached is None:
-                detached = compiled.detach()
-            return detached
-
-        payloads: "dict[tuple, bytes]" = {}
-        pending = []
-        shipped = False
-        total_bytes = 0
-        patch_bytes = 0
-        for worker in range(self.workers):
-            ledger = self._ledgers[worker]
-            ship, evictions = ledger.plan(token)
-            # Full install (cold / demoted), sparse generation patch
-            # (resident but stale), or nothing (resident and current) —
-            # resolved by the shared protocol helper.  On-disk indexes
-            # install as the manifest path: O(1) bytes at any size.
-            message, kind = plan_graph_message(
-                ledger, token, compiled, ship, evictions, payload
-            )
-            if message is None:
-                continue
-            if kind == "install":
-                # Identical installs share one pickle, keyed by the
-                # eviction list (the only per-worker part).
-                data = payloads.get(message[3])
-                if data is None:
-                    data = pickle.dumps(message)
-                    payloads[message[3]] = data
-                shipped = True
-            else:
-                data = pickle.dumps(message)
-                patch_bytes += len(data)
-            self._send_bytes(worker, data)
-            total_bytes += len(data)
-            pending.append(worker)
-        self.last_install_bytes = total_bytes
-        self.last_patch_bytes = patch_bytes
-        if not pending:
-            return False
-        if shipped:
-            self._install_events += 1
-        for worker in pending:
-            self._await_ack(worker)
-        return shipped
-
-    def start_solve(self, spec: dict) -> None:
-        """Set up per-solve worker state (problem spec, CE mirrors)."""
-        self._current_spec = spec
-        self._broadcast(("solve", spec))
-        for worker in range(self.workers):
-            self._await_ack(worker)
-
-    def run_stage(
-        self,
-        solve_id: int,
-        worker_entries: "list[list[dict]]",
-        rebuild=None,
-        fallback=None,
-    ):
-        """Execute one stage: ``worker_entries[w]`` goes to worker ``w``.
-
-        Returns, per worker, the list of :class:`~repro.algorithms.
-        sampling.ShardSummary` results aligned with that worker's
-        entries.
-
-        ``rebuild(worker, entries)`` (optional) refreshes a shard for a
-        respawned worker before it is re-dispatched — the executor
-        replaces the incremental CE-vector sync patches with the full
-        history the rebuilt mirrors need.  ``fallback(worker, entries)``
-        (optional) computes the shard in the parent once the retry
-        budget is exhausted; without it an exhausted shard is terminal
-        (the pool closes itself and raises).
-        """
-        if len(worker_entries) != self.workers:
-            raise ValueError(
-                f"expected entries for {self.workers} workers, "
-                f"got {len(worker_entries)}"
-            )
-        for worker, entries in enumerate(worker_entries):
-            self._send_bytes(
-                worker, pickle.dumps(("stage", solve_id, entries))
-            )
-        return [
-            self._await_stage(
-                worker, solve_id, worker_entries[worker], rebuild, fallback
-            )
-            for worker in range(self.workers)
-        ]
-
-    def _await_stage(
-        self, worker: int, solve_id: int, entries, rebuild, fallback
-    ):
-        """Await one worker's stage reply, healing crashes by retry."""
-        attempts = 0
-        owes_reply = True
-        while True:
-            try:
-                if not owes_reply:
-                    # Re-arm the respawned worker: rebuild its solve
-                    # state, refresh the shard, and re-dispatch it.
-                    self._recover_worker(worker)
-                    if rebuild is not None:
-                        entries = rebuild(worker, entries)
-                    self._send_bytes(
-                        worker, pickle.dumps(("stage", solve_id, entries))
-                    )
-                    owes_reply = True
-                return self._expect_ok(worker)
-            except WorkerCrashError:
-                self.respawn(worker)
-                owes_reply = False
-                if attempts >= self.max_retries:
-                    self.healthy = False
-                    if fallback is None:
-                        self._fail(
-                            f"stage-pool worker {worker} keeps dying "
-                            "mid-stage and no fallback was provided; the "
-                            "pool has been closed"
-                        )
-                    # The respawned worker holds neither graph nor solve
-                    # state; heal() rebuilds it before the next stage.
-                    self._needs_recovery.add(worker)
-                    self.fallback_shards += 1
-                    return fallback(worker, entries)
-                attempts += 1
-                self.shard_retries += 1
-                time.sleep(min(0.01 * (2 ** (attempts - 1)), 0.1))
 
 class ShardedStageExecutor(StageExecutor):
     """Stage strategy that shards every stage's draws across a pool.
@@ -628,9 +89,10 @@ class ShardedStageExecutor(StageExecutor):
     Parameters
     ----------
     pool:
-        A :class:`StagePool` to run on (shared, not closed by this
-        executor) — or ``None`` to create an owned pool of ``workers``
-        processes, which :meth:`close` then tears down.
+        A :class:`~repro.parallel.pool.ResidentPool` to run on (shared,
+        not closed by this executor) — or ``None`` to create an owned
+        pool of ``workers`` processes, which :meth:`close` then tears
+        down.
     workers:
         Worker count for the owned pool (ignored when ``pool`` is given).
     trace:
@@ -641,14 +103,14 @@ class ShardedStageExecutor(StageExecutor):
 
     def __init__(
         self,
-        pool: Optional[StagePool] = None,
+        pool: Optional[ResidentPool] = None,
         workers: Optional[int] = None,
         trace: bool = False,
     ) -> None:
         if pool is None:
             if workers is None:
                 raise ValueError("need either a pool or a worker count")
-            pool = StagePool(workers)
+            pool = ResidentPool(workers)
             self._owns_pool = True
         else:
             self._owns_pool = False
@@ -658,14 +120,15 @@ class ShardedStageExecutor(StageExecutor):
         self._patch_log: "list[list] | None" = None
         self._patch_sizes: "list[list[int]] | None" = None
         self._synced: "list[list[int]] | None" = None
-        #: Kept for crash recovery: the compiled index and solve spec
-        #: let the executor rebuild shard state in-parent (fallback) and
-        #: re-sync rebuilt workers (rebuild).
-        self._compiled = None
+        #: The solve's graph (token → detached compiled arrays) and spec:
+        #: every stage dispatch carries them so the pool's install
+        #: planner can re-arm a respawned worker, and the in-parent
+        #: fallback rebuilds shard state from them.
+        self._graphs: "Optional[dict]" = None
         self._spec: "Optional[dict]" = None
-        self._restarts0 = 0
-        self._retries0 = 0
-        self._fallback0 = 0
+        #: Pool counters at the start of the solve; recovery accounting
+        #: reports the difference.
+        self._counters0 = None
         #: Vector-engine solves: planned per-start draw ordinals (the
         #: Philox counter positions) instead of per-shard RNG seeds.
         self._vector = False
@@ -681,7 +144,9 @@ class ShardedStageExecutor(StageExecutor):
                 "the dict-based reference path"
             )
         problem = ctx.problem
+        self._counters0 = self.pool.counters()
         shipped = self.pool.ensure_resident(problem)
+        shipping = self.pool.counters() - self._counters0
         self._solve_id = next(_SOLVE_COUNTER)
         mode = solver._shard_mode()
         self._vector = getattr(ctx.sampler, "is_vector", False)
@@ -698,11 +163,8 @@ class ShardedStageExecutor(StageExecutor):
         if self._vector:
             spec["vector_key"] = ctx.sampler.vector_key
         self.pool.start_solve(spec)
-        self._compiled = problem.compiled()
+        self._graphs = {problem.payload_token(): problem.compiled().detach()}
         self._spec = spec
-        self._restarts0 = self.pool.worker_restarts
-        self._retries0 = self.pool.shard_retries
-        self._fallback0 = self.pool.fallback_shards
         start_count = len(ctx.starts)
         self._patch_log = [[] for _ in range(start_count)]
         # Pickled size of each logged patch, measured once at append time
@@ -713,14 +175,14 @@ class ShardedStageExecutor(StageExecutor):
         ]
         ctx.stats.extra["stage_workers"] = self.pool.workers
         # Shipping accounting through the shared residency module, so
-        # stage-sharded solves and solve-pool batches report the same
-        # keys (solve-mode shipping used to go unrecorded, which made
-        # the bench overhead curve undercount it).
+        # stage-sharded solves and chunk batches report the same keys;
+        # the bytes are the install / patch traffic of this solve's
+        # graph alone.
         record_shipping(
             ctx.stats.extra,
             shipped=shipped,
-            payload_bytes=self.pool.last_install_bytes,
-            patch_bytes=self.pool.last_patch_bytes,
+            payload_bytes=shipping["payload_bytes"],
+            patch_bytes=shipping["patch_bytes"],
         )
         # Shard-protocol overhead accounting (the ROADMAP's "overhead
         # curve"): every broadcast/stage message exchanged with a worker
@@ -739,11 +201,6 @@ class ShardedStageExecutor(StageExecutor):
         solver = ctx.solver
         node_stats = ctx.node_stats
         workers = self.pool.workers
-        # Workers torn down by an earlier fallback come back here, with
-        # freshly rebuilt CE mirrors: their sync cursors restart at zero
-        # so this stage's entries replay the full patch history.
-        for worker in self.pool.heal():
-            self._synced[worker] = [0] * len(self._patch_log)
         funded = [
             (index, share)
             for index, share in enumerate(shares)
@@ -799,10 +256,11 @@ class ShardedStageExecutor(StageExecutor):
             )
 
         results = self.pool.run_stage(
-            self._solve_id,
+            self._spec,
+            self._graphs,
             worker_entries,
-            rebuild=self._rebuild,
-            fallback=self._fallback,
+            self._rebuild,
+            self._fallback,
         )
 
         stats = ctx.stats
@@ -811,11 +269,12 @@ class ShardedStageExecutor(StageExecutor):
         # Cumulative recovery accounting: keys appear only when the pool
         # actually had to heal something, so fault-free stats are
         # unchanged.
+        recovery = self.pool.counters() - self._counters0
         record_recovery(
             stats.extra,
-            restarts=self.pool.worker_restarts - self._restarts0,
-            retries=self.pool.shard_retries - self._retries0,
-            degraded=self.pool.fallback_shards - self._fallback0,
+            restarts=recovery["worker_restarts"],
+            retries=recovery["retries"],
+            degraded=recovery["fallback_shards"],
         )
         best_sample = ctx.best_sample
         stage_trace = [] if self.trace is not None else None
@@ -888,7 +347,7 @@ class ShardedStageExecutor(StageExecutor):
             self.trace[-1]["stages"].append(stage_trace)
 
     # ------------------------------------------------------------------
-    # Crash-recovery hooks (invoked by StagePool.run_stage)
+    # Crash-recovery hooks (invoked by ResidentPool's recovery)
     # ------------------------------------------------------------------
     def _full_sync_entries(self, entries: "list[dict]") -> "list[dict]":
         """Copies of ``entries`` whose sync patches are the full history.
@@ -919,14 +378,18 @@ class ShardedStageExecutor(StageExecutor):
         """Run a retry-exhausted shard in the parent process.
 
         Graceful degradation: the shard is computed with the same
-        :class:`_WorkerSolveState` machinery the workers run, built from
-        a detached copy of the compiled index (the very shape a worker
-        holds resident — ``detach`` preserves the payload token) and the
-        stored solve spec, so the summaries are bit-identical to what
-        the worker would have returned.  The pool marks the worker for
-        lazy :meth:`StagePool.heal` before the next stage.
+        :class:`~repro.parallel.pool._WorkerSolveState` machinery the
+        workers run, built from the detached compiled index (the very
+        shape a worker holds resident) and the stored solve spec, so the
+        summaries are bit-identical to what the worker would have
+        returned.  The respawned worker holds no CE mirrors; the pool
+        re-sends it the spec at its next stage dispatch, so its sync
+        cursors restart at zero and the next entries carry the full
+        patch history.
         """
-        state = _WorkerSolveState(self._compiled.detach(), self._spec)
+        self._synced[worker] = [0] * len(self._patch_log)
+        (detached,) = self._graphs.values()
+        state = _WorkerSolveState(detached, self._spec)
         return [
             state.run_entry(entry)
             for entry in self._full_sync_entries(entries)

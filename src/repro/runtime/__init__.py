@@ -1,12 +1,12 @@
-"""Unified runtime layer: engines, pools, routing, and batched serving.
+"""Unified runtime layer: engines, the pool, routing, and batched serving.
 
 This package is the single place execution state lives:
 
 * :class:`~repro.runtime.context.ExecutionContext` — owns engine
-  selection, the lazily-created resident worker pools (solve-level and
-  stage-level), warm-state storage, and the mode router; solvers, the
-  online planner, the CLI, and the bench harness all construct their
-  execution state through it.
+  selection, the lazily-created resident worker pool (one set of
+  processes for both parallel modes), warm-state storage, and the mode
+  router; solvers, the online planner, the CLI, and the bench harness
+  all construct their execution state through it.
 * :mod:`~repro.runtime.router` — the cost model that resolves
   ``mode="auto"`` to ``serial`` / ``solve`` / ``stage`` per request,
   replacing the old rule-of-thumb comment in :mod:`repro.parallel`.

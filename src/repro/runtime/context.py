@@ -2,24 +2,22 @@
 request and a :class:`~repro.core.solution.GroupSolution`.
 
 Before this layer existed the execution machinery was scattered: engine
-selection lived on every solver constructor, the solve-level pool behind
-:class:`~repro.parallel.pool.ParallelSolver`, the stage-level pool
-behind :class:`~repro.parallel.stage_pool.StagePool`, warm states on the
-:class:`~repro.online.replanning.OnlinePlanner`, and the choice between
-the parallel modes in a rule-of-thumb comment.  :class:`ExecutionContext`
-consolidates all of it:
+selection lived on every solver constructor, the worker pools behind
+:class:`~repro.parallel.pool.ParallelSolver` and the stage executor,
+warm states on the :class:`~repro.online.replanning.OnlinePlanner`, and
+the choice between the parallel modes in a rule-of-thumb comment.
+:class:`ExecutionContext` consolidates all of it:
 
 * **engine selection** — ``engine="compiled"|"reference"``, inherited by
   every solver the context builds;
-* **pool lifecycle** — the solve-level :class:`~repro.parallel.pool.
-  ResidentSolvePool` and the stage-level :class:`~repro.parallel.
-  stage_pool.StagePool` are created lazily, stay resident across
-  solves, batches, and re-planning rounds — each graph's detached
-  arrays are shipped **at most once per (graph, worker) pair**, per the
-  shared residency protocol in :mod:`repro.parallel.residency` — are
-  reference-counted across co-owners (:meth:`acquire` /
-  :meth:`release`), and are torn down by :meth:`close` or
-  ``with``-exit;
+* **pool lifecycle** — one :class:`~repro.parallel.pool.ResidentPool`
+  serves both parallel modes: it is created lazily, stays resident
+  across solves, batches, and re-planning rounds — each graph's
+  detached arrays are shipped **at most once per (graph, worker)
+  pair**, whichever mode uses them, per the residency protocol in
+  :mod:`repro.parallel.residency` — is reference-counted across
+  co-owners (:meth:`acquire` / :meth:`release`), and is torn down by
+  :meth:`close` or ``with``-exit;
 * **mode routing** — ``mode="auto"`` resolves per request through the
   cost model in :mod:`repro.runtime.router`; ``"serial"`` / ``"solve"``
   / ``"stage"`` force a mode;
@@ -38,8 +36,8 @@ private serial one, which keeps the historical direct-call behaviour —
 ``CBASND().solve(problem, rng=7)`` remains bit-identical to every
 previous release.
 
-The context is not thread-safe: like the stage pool it serves one solve
-at a time (concurrency comes from the worker processes underneath).
+The context is not thread-safe: like its pool it serves one solve at a
+time (concurrency comes from the worker processes underneath).
 """
 
 from __future__ import annotations
@@ -68,8 +66,7 @@ from repro.runtime.requests import SolveRequest
 from repro.runtime.router import choose_mode, validate_mode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.parallel.pool import ResidentSolvePool
-    from repro.parallel.stage_pool import StagePool
+    from repro.parallel.pool import ResidentPool
 
 __all__ = ["ExecutionContext"]
 
@@ -87,7 +84,7 @@ def _factory_params(name: str):
 
 
 class ExecutionContext:
-    """Owns engines, pools, routing, and warm state for a serving session.
+    """Owns engine, pool, routing, and warm state for a serving session.
 
     Parameters
     ----------
@@ -97,7 +94,7 @@ class ExecutionContext:
         Routing policy: ``"auto"`` (cost-model router, the default),
         or a forced ``"serial"`` / ``"solve"`` / ``"stage"``.
     workers:
-        Worker count for both pools (``None`` = one per CPU).  The
+        Worker count for the pool (``None`` = one per CPU).  The
         auto-router caps it by the CPU count; an explicit mode honours
         it as given (oversubscription is the caller's choice).
     executor:
@@ -105,18 +102,19 @@ class ExecutionContext:
         override — every staged solve runs on it, bypassing the router.
         This is what the solvers' deprecated ``executor=`` kwarg
         delegates to.
-    stage_pool / solve_pool:
-        Caller-owned pools to run on instead of lazily creating owned
-        ones; shared pools are never closed by this context.
+    pool:
+        A caller-owned :class:`~repro.parallel.pool.ResidentPool` to run
+        on instead of lazily creating an owned one; a shared pool is
+        never closed by this context.
     cpu_count:
         Override for ``os.cpu_count()`` (tests).
     max_retries:
-        Crash-retry budget for the owned pools (``None`` = the pools'
+        Crash-retry budget for the owned pool (``None`` = the pool's
         default, :data:`~repro.parallel.residency.DEFAULT_MAX_RETRIES`).
-        Once a pool exhausts it, the context goes *degraded*: the
+        Once the pool exhausts it, the context goes *degraded*: the
         affected requests re-run serially in-parent
         (``degraded_to_serial`` in their stats) and the router sends
-        everything serial until :meth:`close` discards the pools.
+        everything serial until :meth:`close` discards the pool.
     """
 
     def __init__(
@@ -125,8 +123,7 @@ class ExecutionContext:
         mode: str = "auto",
         workers: Optional[int] = None,
         executor: Optional[StageExecutor] = None,
-        stage_pool: "Optional[StagePool]" = None,
-        solve_pool: "Optional[ResidentSolvePool]" = None,
+        pool: "Optional[ResidentPool]" = None,
         cpu_count: Optional[int] = None,
         max_retries: Optional[int] = None,
     ) -> None:
@@ -144,10 +141,8 @@ class ExecutionContext:
         self._executor_override = executor
         self._serial_executor = SerialStageExecutor()
         self._vector_executor: Optional[StageExecutor] = None
-        self._stage_pool = stage_pool
-        self._owns_stage_pool = stage_pool is None
-        self._solve_pool = solve_pool
-        self._owns_solve_pool = solve_pool is None
+        self._pool = pool
+        self._owns_pool = pool is None
         self._warm_states: dict = {}
         self._mode_force: Optional[str] = None
         self._degraded = False
@@ -162,17 +157,17 @@ class ExecutionContext:
 
     @property
     def effective_workers(self) -> int:
-        """Worker count the pools are sized with."""
+        """Worker count the pool is sized with."""
         return self.workers if self.workers is not None else self.cpu_count
 
     @property
     def degraded(self) -> bool:
-        """Has a pool exhausted its crash-retry budget?
+        """Has the pool exhausted its crash-retry budget?
 
         While degraded the router sends everything serial (in-parent
         execution is the floor dying workers cannot take out); the
         serving daemon reports the flag on its health endpoint.
-        :meth:`close` discards the pools and clears it.
+        :meth:`close` discards the pool and clears it.
         """
         return self._degraded
 
@@ -184,40 +179,26 @@ class ExecutionContext:
         return _evaluator_for(problem.graph, engine or self.engine)
 
     # ------------------------------------------------------------------
-    # Pools (lazy, resident, shared)
+    # Pool (lazy, resident, shared)
     # ------------------------------------------------------------------
-    def stage_pool(self) -> "StagePool":
-        """The resident stage-level pool, created on first use."""
-        if self._stage_pool is None:
-            from repro.parallel.stage_pool import StagePool
+    def pool(self) -> "ResidentPool":
+        """The resident worker pool, created on first use.
 
-            kwargs = {}
-            if self.max_retries is not None:
-                kwargs["max_retries"] = self.max_retries
-            self._stage_pool = StagePool(
-                max(1, self.effective_workers), **kwargs
-            )
-            self._owns_stage_pool = True
-        return self._stage_pool
-
-    def solve_pool(self) -> "ResidentSolvePool":
-        """The resident solve-level pool, created on first use.
-
-        Like the stage pool, its workers cache detached compiled-graph
-        arrays keyed by payload token (:mod:`repro.parallel.residency`),
-        so a serving session ships each graph at most once per worker.
+        Both parallel modes run on it — multiplexed chunks and
+        stage-sharded solves — and its workers cache detached
+        compiled-graph arrays keyed by payload token
+        (:mod:`repro.parallel.residency`), so a serving session ships
+        each graph at most once per worker.
         """
-        if self._solve_pool is None:
-            from repro.parallel.pool import ResidentSolvePool
+        if self._pool is None:
+            from repro.parallel.pool import ResidentPool
 
             kwargs = {}
             if self.max_retries is not None:
                 kwargs["max_retries"] = self.max_retries
-            self._solve_pool = ResidentSolvePool(
-                max(1, self.effective_workers), **kwargs
-            )
-            self._owns_solve_pool = True
-        return self._solve_pool
+            self._pool = ResidentPool(max(1, self.effective_workers), **kwargs)
+            self._owns_pool = True
+        return self._pool
 
     # ------------------------------------------------------------------
     # Routing
@@ -284,7 +265,7 @@ class ExecutionContext:
         ):
             from repro.parallel.stage_pool import ShardedStageExecutor
 
-            return ShardedStageExecutor(pool=self.stage_pool())
+            return ShardedStageExecutor(pool=self.pool())
         if solver_engine == "vector" and hasattr(solver, "_shard_mode"):
             # Vector-engine staged solves go through the batch kernel;
             # the executor is stateless (per-solve state lives on the
@@ -452,7 +433,7 @@ class ExecutionContext:
         budget: int,
         rng: RngLike,
     ) -> SolveResult:
-        """Best-of over budget slices on the solve-level pool."""
+        """Best-of over budget slices on the pool."""
         from repro.parallel.pool import parallel_solve
 
         kwargs = dict(solver_kwargs)
@@ -461,7 +442,7 @@ class ExecutionContext:
         workers = max(1, min(self.effective_workers, budget))
         pool = None
         if workers > 1:
-            pool = self.solve_pool()
+            pool = self.pool()
             # A caller-shared pool may be smaller than the context's
             # worker setting; never dispatch past its processes.
             workers = min(workers, pool.workers)
@@ -492,9 +473,9 @@ class ExecutionContext:
         SolveRequest` (or plain ``(problem, solver-name)``-style dicts
         are *not* accepted here — build them with
         :func:`~repro.runtime.requests.request_from_spec`).  Routing is
-        per request: large solves go to the resident stage pool,
-        pool-worthy ones multiplex onto the resident solve-level pool —
-        each inside one worker as a plain serial solve — while requests
+        per request: large solves are stage-sharded across the resident
+        pool, pool-worthy ones multiplex onto it as chunks — each inside
+        one worker as a plain serial solve — while requests
         the router judges too small to win their dispatch round trip
         run inline in the parent (on one CPU, everything does).  Compiled-engine requests ship only their O(1)
         payload spec once a worker holds the graph's detached arrays,
@@ -577,7 +558,7 @@ class ExecutionContext:
         # pickles them only into workers that do not hold them yet.
         detached_graphs: dict[int, object] = {}
         graphs: dict = {}  # payload token -> detached CompiledGraph
-        entries = []  # multiplexed requests, as solve-pool entry dicts
+        entries = []  # multiplexed requests, as chunk entry dicts
         stage_indices = []
         inline_indices = []
         for index, (request, route) in enumerate(zip(requests, routed)):
@@ -618,8 +599,8 @@ class ExecutionContext:
 
         dispatched = bool(entries)
         if dispatched:
-            pool = self.solve_pool()
-            pool.begin_batch()
+            pool = self.pool()
+            before = pool.counters()
             workers = max(
                 1, min(self.effective_workers, pool.workers, len(entries))
             )
@@ -629,10 +610,11 @@ class ExecutionContext:
             for worker in range(workers):
                 pool.ship(worker, entries[worker::workers], graphs)
 
-        # Large solves run on the stage pool — and serial-routed ones
-        # inline — while the chunks are in flight on the solve pool; a
-        # failure here must not abandon the in-flight chunks (they are
-        # collected below regardless).
+        # Large solves are stage-sharded — and serial-routed ones run
+        # inline — while the chunks are in flight; the pool settles each
+        # reply on its own record, so stage waits never consume a
+        # chunk's reply.  A failure here must not abandon the in-flight
+        # chunks (they are collected below regardless).
         for index in stage_indices:
             expired = self._expired_failure(requests[index], deadlines[index])
             if expired is not None:
@@ -679,7 +661,7 @@ class ExecutionContext:
             # the retry budget exhausted is not lost — it re-runs
             # serially in-parent (bit-identically: the seed is in the
             # request), the pool is flagged unhealthy, and the router
-            # sends everything serial until close() discards the pools.
+            # sends everything serial until close() discards the pool.
             degraded = 0
             if not pool.healthy:
                 self._degraded = True
@@ -701,25 +683,23 @@ class ExecutionContext:
             # (the stage path records the same keys from its executor).
             # Recovery keys appear only when something actually happened,
             # so fault-free stats are unchanged.
-            installs = pool.batch_installs
-            payload_bytes = pool.batch_payload_bytes
-            patch_bytes = pool.batch_patch_bytes
+            window = pool.counters() - before
             for entry in entries:
                 result = results[entry["index"]]
                 if result is not None:
                     record_shipping(
                         result.stats.extra,
-                        shipped=installs > 0,
-                        payload_bytes=payload_bytes,
-                        installs=installs,
-                        patch_bytes=patch_bytes,
+                        shipped=window["installs"] > 0,
+                        payload_bytes=window["payload_bytes"],
+                        installs=window["installs"],
+                        patch_bytes=window["patch_bytes"],
                     )
                     record_recovery(
                         result.stats.extra,
-                        restarts=pool.batch_restarts,
-                        retries=pool.batch_retries,
+                        restarts=window["worker_restarts"],
+                        retries=window["retries"],
                         degraded=degraded,
-                        deadline_missed=pool.batch_deadline_missed
+                        deadline_missed=window["deadline_missed"]
                         + predispatch_missed,
                     )
         return self._finish_batch(results, failures)
@@ -733,7 +713,7 @@ class ExecutionContext:
         The in-parent paths (serial batches, stage-routed and
         inline-routed requests) cannot cancel a solve mid-flight, so
         their deadline enforcement happens here, at the dispatch
-        boundary — matching the pools, which likewise never abandon a
+        boundary — matching the pool, which likewise never abandons a
         reply that already arrived.
         """
         if deadline is None or time.monotonic() < deadline:
@@ -788,24 +768,20 @@ class ExecutionContext:
         return self
 
     def release(self) -> None:
-        """Drop one ownership reference; the last one closes the pools."""
+        """Drop one ownership reference; the last one closes the pool."""
         self._refs -= 1
         if self._refs <= 0:
             self.close()
 
     def close(self) -> None:
-        """Tear down owned pools (idempotent; the context stays usable —
-        a later parallel solve lazily recreates them).  Discarding the
-        pools also clears the degraded flag: fresh pools are trusted
+        """Tear down the owned pool (idempotent; the context stays usable
+        — a later parallel solve lazily recreates it).  Discarding the
+        pool also clears the degraded flag: a fresh pool is trusted
         again."""
-        pool, self._stage_pool = self._stage_pool, None
-        if pool is not None and self._owns_stage_pool:
+        pool, self._pool = self._pool, None
+        if pool is not None and self._owns_pool:
             pool.close()
-        solve_pool, self._solve_pool = self._solve_pool, None
-        if solve_pool is not None and self._owns_solve_pool:
-            solve_pool.close()
-        self._owns_stage_pool = True
-        self._owns_solve_pool = True
+        self._owns_pool = True
         self._degraded = False
 
     def __enter__(self) -> "ExecutionContext":
@@ -821,13 +797,8 @@ class ExecutionContext:
             pass
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        pools = []
-        if self._stage_pool is not None:
-            pools.append("stage")
-        if self._solve_pool is not None:
-            pools.append("solve")
         return (
             f"ExecutionContext(engine={self.engine!r}, mode={self.mode!r}, "
             f"workers={self.effective_workers}, "
-            f"pools=[{', '.join(pools)}])"
+            f"pool={'up' if self._pool is not None else 'none'})"
         )

@@ -5,7 +5,7 @@ group size + constraints), the solver to run, its configuration, and a
 per-request seed.  :meth:`ExecutionContext.solve_many
 <repro.runtime.context.ExecutionContext.solve_many>` takes a list of
 them — heterogeneous ``k`` / constraints / solvers / budgets over one
-shared graph — and multiplexes them over the runtime's pools.
+shared graph — and multiplexes them over the runtime's pool.
 
 :func:`request_from_spec` builds a request from a plain dict (one JSONL
 line of the CLI's ``solve-many`` subcommand, or one message of a future
@@ -36,7 +36,7 @@ _PROBLEM_KEYS = (
 )
 
 #: Solver-constructor parameters a spec must *not* set: they carry live
-#: execution state (pools, strategies) that a JSON request cannot name.
+#: execution state (the pool, strategies) that a JSON request cannot name.
 _EXECUTION_ONLY_PARAMS = frozenset({"context", "executor"})
 
 

@@ -19,8 +19,8 @@ with fixed overheads:
   so it only wins when the per-stage draw work dwarfs the round trips —
   a *single large* solve;
 * **solve mode** historically paid one O(V+E) graph pickle per worker
-  chunk *per batch*; since the solve-level pool became resident
-  (:class:`~repro.parallel.pool.ResidentSolvePool`), that cost is paid
+  chunk *per batch*; since the pool became resident
+  (:class:`~repro.parallel.pool.ResidentPool`), that cost is paid
   at most once per (graph, worker) *session*, and what remains per
   request is a fixed dispatch overhead — an O(1) payload-spec pickle
   out, one result pickle back, one solver construction in the worker.
@@ -80,7 +80,7 @@ STAGE_WORK_THRESHOLD = 500_000
 MIN_STAGE_BUDGET = 256
 
 #: Minimum ``n × budget`` work volume before multiplexing a batched
-#: request onto the resident solve-level pool beats solving it inline
+#: request onto the resident pool beats solving it inline
 #: (see the module docstring: the resident protocol removed the
 #: per-batch graph pickle, leaving only the fixed per-request dispatch
 #: round trip to amortize).
@@ -133,7 +133,7 @@ def choose_mode(
     cpu_count:
         Override for ``os.cpu_count()`` (tests).
     healthy:
-        Whether the runtime's pools are trustworthy.  ``False`` — a
+        Whether the runtime's pool is trustworthy.  ``False`` — the
         pool has exhausted its crash-retry budget — routes everything
         serial: in-parent execution is the graceful-degradation floor
         that cannot be taken out by dying workers.
@@ -154,7 +154,7 @@ def choose_mode(
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not healthy:
-        # Degraded runtime: keep serving, without the pools.
+        # Degraded runtime: keep serving, without the pool.
         return "serial"
     cpus = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
     effective = min(workers, cpus) if workers is not None else cpus
@@ -171,7 +171,7 @@ def choose_mode(
         return "stage"
     if batch_size > 1 and work >= MIN_SOLVE_WORK:
         # Many small solves: multiplex whole requests onto the resident
-        # solve-level pool, each running serially at full statistical
+        # pool, each running serially at full statistical
         # strength inside one worker.  Requests below the work floor
         # (including budget-less solvers, whose work the model cannot
         # see) finish inline faster than their dispatch round trip.
@@ -255,7 +255,7 @@ def budget_for_slo(
         As in :func:`choose_mode` — every candidate budget is routed
         through it, so the promise accounts for the mode the request
         would actually run in (a degraded runtime plans against its
-        serial work rate, not the pools').
+        serial work rate, not the pool's).
     slo_s:
         The request's end-to-end latency objective in seconds.
     work_rate:

@@ -3,7 +3,7 @@
 The runtime (:mod:`repro.runtime`) makes one *batch* robust; this
 package makes a long-lived *process* robust: a stdlib-asyncio daemon
 (:class:`~repro.serving.daemon.ServingDaemon`) that multiplexes tenants'
-graphs through the resident pools, with bounded-queue admission control
+graphs through the resident pool, with bounded-queue admission control
 and typed load shedding (:class:`~repro.serving.admission.
 AdmissionController`), SLO-inverted budget routing calibrated online
 (:class:`~repro.serving.slo.LatencyCalibrator`), health/readiness

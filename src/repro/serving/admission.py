@@ -73,7 +73,7 @@ class AdmissionController:
         is only charged down when its reply is settled.
     queue_timeout_s:
         Patience bound (``None`` = wait forever).  Enforced at dispatch
-        boundaries, matching the pools' deadline philosophy: a request
+        boundaries, matching the pool's deadline philosophy: a request
         already handed to the solver is never abandoned retroactively.
     """
 

@@ -43,22 +43,23 @@ stdlib ``asyncio`` server on top of the self-healing runtime:
   thread-safe; the single loop serializes it), so concurrent tenants'
   requests coalesce into resident-pool batches: each graph's arrays
   ship to each pool worker at most once per session, however many
-  tenants multiplex over it.
+  tenants multiplex over it and whichever parallel mode serves them.
 
 * **self-healing + graceful degradation** — worker crashes, retries,
   and deadlines are the runtime's problem (PR 6) and stay invisible in
-  results; if a pool exhausts its retry budget the context degrades to
+  results; if the pool exhausts its retry budget the context degrades to
   in-parent serial and the daemon *keeps serving* (slower, alive),
   reporting ``"degraded"`` on ``/healthz``.
 
 * **graceful lifecycle** — :meth:`ServingDaemon.shutdown` stops
   accepting, sheds new arrivals, drains the queue (every admitted
   request gets its reply), flushes connections, and tears down the
-  pools — no orphan processes, no hung clients.
+  pool — no orphan processes, no hung clients.
 
 Chaos plans (:class:`~repro.parallel.faults.FaultPlan`) target the
 daemon end to end: worker kills/drops/delays are installed on the
-context's pools and fire underneath served batches, and queue ``stalls``
+context's pool and fire underneath served batches — chunk-routed and
+stage-routed alike — and queue ``stalls``
 hold the dispatch loop to force deterministic shed/timeout scenarios —
 the chaos suite in ``tests/test_serving.py`` proves seeded results
 served through the daemon are bit-identical to direct ``solve_many``.
@@ -86,6 +87,11 @@ __all__ = ["ServingDaemon", "run_daemon"]
 #: Spec keys consumed by the daemon before the runtime sees the spec.
 _DAEMON_KEYS = ("id", "tenant", "slo_s")
 
+#: Longest request line (bytes, newline excluded) the daemon buffers.
+#: A longer line is answered with one ``kind="too_large"`` reply and
+#: discarded through its newline; the connection keeps serving.
+MAX_LINE_BYTES = 64 * 1024
+
 
 def _json_line(payload: dict) -> bytes:
     return (json.dumps(payload, sort_keys=True) + "\n").encode()
@@ -93,7 +99,7 @@ def _json_line(payload: dict) -> bytes:
 
 #: Daemons with live sockets, so forked pool workers can disown them.
 #:
-#: The resident pools fork their workers *while the daemon is serving*
+#: The resident pool forks its workers *while the daemon is serving*
 #: — lazily on the first pool-routed batch, and again on every
 #: crash-respawn — and a forked child inherits every open file
 #: descriptor, including the listening socket and the live client
@@ -127,6 +133,29 @@ class _InvalidRequest(ValueError):
     """A request line the daemon rejects before admission."""
 
 
+async def _read_line(reader) -> "bytes | None":
+    """The next line from ``reader`` (``b""`` at EOF), or ``None`` when
+    it overran the stream's limit.
+
+    An oversized line is discarded through its newline (or EOF), so the
+    next call resynchronizes on the line after it.  ``readuntil`` leaves
+    an overrunning chunk buffered and reports how many bytes precede the
+    newline (or, without one, how many are buffered): drop those, then
+    read on.
+    """
+    oversized = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as error:
+            line = error.partial
+        except asyncio.LimitOverrunError as error:
+            await reader.readexactly(error.consumed)
+            oversized = True
+            continue
+        return None if oversized else line
+
+
 class ServingDaemon:
     """Overload-safe asyncio serving daemon over an execution context.
 
@@ -158,7 +187,7 @@ class ServingDaemon:
     calibrator:
         SLO work-rate model (a fresh default one when omitted).
     fault_plan:
-        Test-only chaos hook — installed on the context's pools (worker
+        Test-only chaos hook — installed on the context's pool (worker
         kills/drops/delays) and consulted by the dispatch loop for
         queue stalls.  Production code must never set it.
     """
@@ -253,24 +282,26 @@ class ServingDaemon:
     async def start(
         self, host: str = "127.0.0.1", port: int = 0
     ) -> "tuple[str, int]":
-        """Bind, warm the pools, and begin serving; returns the address."""
+        """Bind, warm the pool, and begin serving; returns the address."""
         if self._started:
             raise RuntimeError("daemon already started")
         # Forked pool workers must not inherit (and thereby hold open)
         # the daemon's sockets — see ``_LIVE_DAEMONS``.
         _install_at_fork_guard()
         _LIVE_DAEMONS.add(self)
-        # Warm the pools before the first connection exists: a ready
+        # Warm the pool before the first connection exists: a ready
         # daemon should answer its first request at full speed, not pay
         # the worker spawn on it, and forking before any client socket
         # is open keeps early workers free of inherited connections.
         if self._context.effective_workers > 1:
-            solve_pool = await asyncio.to_thread(self._context.solve_pool)
-            await asyncio.to_thread(self._context.stage_pool)
+            pool = await asyncio.to_thread(self._context.pool)
             if self.fault_plan is not None:
-                solve_pool.fault_plan = self.fault_plan
+                pool.fault_plan = self.fault_plan
         self._server = await asyncio.start_server(
-            self._handle_connection, host=host, port=port
+            self._handle_connection,
+            host=host,
+            port=port,
+            limit=MAX_LINE_BYTES,
         )
         for sock in self._server.sockets:
             self._tracked_fds.add(sock.fileno())
@@ -286,14 +317,14 @@ class ServingDaemon:
         Stops accepting (new arrivals on still-open connections shed
         with ``kind="shed"``), lets the dispatch loop finish the queue,
         flushes every connection's pending replies, then releases the
-        context — closing the pools when the daemon owns them, so no
+        context — closing the pool when the daemon owns it, so no
         worker processes outlive the daemon.
         """
         if not self._started:
             return
         self._draining = True
-        # Untrack the listening fds before close() — pools still
-        # respawn workers during the drain, and the at-fork hook must
+        # Untrack the listening fds before close() — the pool still
+        # respawns workers during the drain, and the at-fork hook must
         # not close whatever the kernel recycles these numbers into.
         for sock in self._server.sockets:
             self._tracked_fds.discard(sock.fileno())
@@ -326,20 +357,33 @@ class ServingDaemon:
         write_lock = asyncio.Lock()
         reply_tasks: "list[asyncio.Task]" = []
         try:
-            first = await reader.readline()
-            if first.startswith(b"GET ") or first.startswith(b"HEAD "):
+            first = await _read_line(reader)
+            if first is not None and first.startswith((b"GET ", b"HEAD ")):
                 await self._handle_http(first, reader, writer)
                 return
             sequence = 0
             line = first
-            while line:
-                stripped = line.strip()
-                if stripped:
+            while line != b"":
+                if line is None:
+                    # Oversized: its id is unreadable, so the reply is
+                    # keyed by line number like any id-less request.
+                    sequence += 1
+                    self.counters["invalid"] += 1
+                    await self._write(
+                        writer,
+                        write_lock,
+                        self._error_payload(
+                            sequence,
+                            "too_large",
+                            f"request line exceeds {MAX_LINE_BYTES} bytes",
+                        ),
+                    )
+                elif line.strip():
                     sequence += 1
                     await self._handle_line(
-                        stripped, sequence, writer, write_lock, reply_tasks
+                        line.strip(), sequence, writer, write_lock, reply_tasks
                     )
-                line = await reader.readline()
+                line = await _read_line(reader)
             # EOF: the client is done sending; flush every reply it is
             # still owed before closing our side.
             if reply_tasks:
@@ -662,7 +706,7 @@ class ServingDaemon:
         The tenant's compiled index is patched in place through
         :meth:`~repro.graph.compiled.CompiledGraph.apply_deltas` —
         payload token preserved, generation bumped — so the resident
-        pools refresh warm workers with O(|delta|) ``graph_patch``
+        pool refreshes warm workers with O(|delta|) ``graph_patch``
         records on the next batch instead of full re-installs.  An
         mmap-backed tenant (a ``graphs=`` path) is materialized into
         memory by the first patch.  Never raises: a bad delta becomes
@@ -760,8 +804,8 @@ class ServingDaemon:
         except (IndexError, UnicodeDecodeError):
             path = "/"
         while True:  # discard request headers
-            header = await reader.readline()
-            if not header or header in (b"\r\n", b"\n"):
+            header = await _read_line(reader)
+            if header in (b"", b"\r\n", b"\n"):
                 break
         if path == "/healthz":
             code, body = 200, self.status()

@@ -9,7 +9,7 @@ module-level cache keys the result by
 protocol tracks — so:
 
 * repeated solves on one graph reuse the arrays;
-* a stage-pool worker, which receives the *detached* payload
+* a pool worker, which receives the *detached* payload
   (``detach()`` shares the lists and the token), builds the arrays once
   per resident graph, not once per solve;
 * an out-of-band graph mutation mints a new token and therefore new

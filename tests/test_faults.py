@@ -1,4 +1,4 @@
-"""Chaos differential suite for the self-healing worker pools.
+"""Chaos differential suite for the self-healing worker pool.
 
 Every test here injects a *deterministic* fault — a worker SIGKILLed
 before a named RPC, a reply dropped or delayed past a deadline — through
@@ -41,11 +41,11 @@ from repro.parallel import (
     NEXT_RPC,
     ArrivalScript,
     FaultPlan,
-    ResidentSolvePool,
+    ResidentPool,
     ShardedStageExecutor,
-    StagePool,
 )
 from repro.runtime import ExecutionContext, SolveRequest
+from repro.runtime.router import MIN_STAGE_BUDGET, STAGE_WORK_THRESHOLD
 
 pytestmark = pytest.mark.chaos
 
@@ -115,7 +115,7 @@ def _solve_many(graph, plan=None, engine="compiled", **context_kwargs):
     requests = _requests(graph, engine)
     with ExecutionContext(workers=2, cpu_count=4, **context_kwargs) as context:
         if plan is not None:
-            context.solve_pool().fault_plan = plan
+            context.pool().fault_plan = plan
         results = context.solve_many(requests, mode="solve")
     return results
 
@@ -288,7 +288,7 @@ class TestSolvePoolRecovery:
     ):
         """Two kills against a 1-retry budget: the chunk's requests fall
         back to in-parent execution, bit-identically, and the router goes
-        serial until the pools are discarded."""
+        serial until the pool is discarded."""
         clean = _solve_many(small_facebook)
         # Two NEXT_RPC kills would both fire during the *initial*
         # dispatch (install then chunk, the worker already dead), so the
@@ -298,7 +298,7 @@ class TestSolvePoolRecovery:
         requests = _requests(small_facebook)
         problem = requests[0].problem
         with ExecutionContext(workers=2, cpu_count=4, max_retries=1) as context:
-            context.solve_pool().fault_plan = plan
+            context.pool().fault_plan = plan
             results = context.solve_many(requests, mode="solve")
             assert len(plan.log) == 2
             for fault_result, clean_result in zip(results, clean):
@@ -310,8 +310,8 @@ class TestSolvePoolRecovery:
                 assert extra["worker_restarts"] == 2
                 assert extra["chunk_retries"] == 1
                 assert extra["degraded_to_serial"] == 2
-            assert not context.solve_pool().healthy
-            # Degraded context: the auto-router refuses the pools...
+            assert not context.pool().healthy
+            # Degraded context: the auto-router refuses the pool...
             assert (
                 context.resolve_mode(problem, budget=10_000, batch_size=4)
                 == "serial"
@@ -343,7 +343,7 @@ class TestDeadlines:
         else:
             plan = FaultPlan(drops=[(0, NEXT_RPC)])
         with ExecutionContext(workers=2, cpu_count=4) as context:
-            context.solve_pool().fault_plan = plan
+            context.pool().fault_plan = plan
             with pytest.raises(BatchExecutionError) as excinfo:
                 context.solve_many(requests, mode="solve")
         error = excinfo.value
@@ -400,10 +400,10 @@ class TestStagePoolRecovery:
     def test_kill_at_every_rpc_position_is_bit_identical(
         self, small_facebook, no_orphans, worker, rpc
     ):
-        with StagePool(2) as pool:
+        with ResidentPool(2) as pool:
             clean = _stage_solve(small_facebook, pool)
         plan = FaultPlan(kills=[(worker, rpc)])
-        with StagePool(2) as pool:
+        with ResidentPool(2) as pool:
             pool.fault_plan = plan
             faulted = _stage_solve(small_facebook, pool)
             assert plan.log == [("kill", worker, rpc)]
@@ -421,10 +421,10 @@ class TestStagePoolRecovery:
         """A worker killed mid-stage under ``engine="vector"`` respawns,
         re-installs the vector graph, and redraws its shard to the same
         bits — the numpy residency path heals like the compiled one."""
-        with StagePool(2) as pool:
+        with ResidentPool(2) as pool:
             clean = _stage_solve(small_facebook, pool, engine="vector")
         plan = FaultPlan(kills=[(0, 3)])  # first stage dispatch
-        with StagePool(2) as pool:
+        with ResidentPool(2) as pool:
             pool.fault_plan = plan
             faulted = _stage_solve(small_facebook, pool, engine="vector")
             assert plan.log == [("kill", 0, 3)]
@@ -443,10 +443,10 @@ class TestStagePoolRecovery:
         """With a zero retry budget a mid-stage crash runs the shard in
         the parent — still bit-identical — and the worker is healed
         lazily before the next stage."""
-        with StagePool(2) as pool:
+        with ResidentPool(2) as pool:
             clean = _stage_solve(small_facebook, pool)
         plan = FaultPlan(kills=[(0, 3)])  # first stage dispatch
-        with StagePool(2, max_retries=0) as pool:
+        with ResidentPool(2, max_retries=0) as pool:
             pool.fault_plan = plan
             faulted = _stage_solve(small_facebook, pool)
             assert plan.log == [("kill", 0, 3)]
@@ -459,14 +459,72 @@ class TestStagePoolRecovery:
 
 
 # ----------------------------------------------------------------------
+# Both dispatch shapes on one worker's reply stream
+# ----------------------------------------------------------------------
+class TestMixedBatchRecovery:
+    def test_kill_under_a_mixed_batch_is_bit_identical(
+        self, small_facebook, no_orphans
+    ):
+        """A chunk and a stage-routed solve share worker 0's reply stream;
+        one kill there is recovered once for both, and every reply still
+        lands on its own waiter."""
+        problem = WASOProblem(graph=small_facebook, k=5)
+        big = max(
+            MIN_STAGE_BUDGET,
+            -(-STAGE_WORK_THRESHOLD // small_facebook.number_of_nodes()),
+        )
+
+        def run(plan):
+            small = dict(budget=40, m=4, stages=2)
+            requests = [
+                SolveRequest(problem, "cbas-nd", 1, dict(small)),
+                SolveRequest(
+                    problem, "cbas-nd", 2, dict(budget=big, m=6, stages=3)
+                ),
+                SolveRequest(problem, "cbas-nd", 3, dict(small)),
+            ]
+            with ExecutionContext(workers=2, cpu_count=4) as context:
+                if plan is not None:
+                    context.pool().fault_plan = plan
+                return context.solve_many(requests)
+
+        clean = run(None)
+        # Worker 0: seq 1 = install and seq 2 = the chunk holding request
+        # 0; seq 3 = the stage-routed solve's spec, sent while the chunk
+        # may still be in flight.
+        plan = FaultPlan(kills=[(0, 3)])
+        faulted = run(plan)
+        assert plan.log == [("kill", 0, 3)]
+        for fault_result, clean_result in zip(faulted, clean):
+            _assert_same_result(fault_result, clean_result)
+        assert "shard_rpcs" in faulted[1].stats.extra  # stage-routed
+        assert "shard_rpcs" not in faulted[0].stats.extra  # chunk
+        assert faulted[1].stats.extra["worker_restarts"] == 1
+        assert faulted[0].stats.extra["worker_restarts"] == 1
+
+
+# ----------------------------------------------------------------------
 # Shutdown hygiene
 # ----------------------------------------------------------------------
 class TestCloseHygiene:
-    @pytest.mark.parametrize("pool_cls", [ResidentSolvePool, StagePool])
+    # Each case serves one dispatch shape before its workers die and is
+    # named for the pool role that shape plays: solve chunks or stage shards.
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            pytest.param("chunk", id="ResidentSolvePool"),
+            pytest.param("stage", id="StagePool"),
+        ],
+    )
     def test_close_is_idempotent_with_all_workers_dead(
-        self, no_orphans, pool_cls
+        self, small_facebook, no_orphans, shape
     ):
-        pool = pool_cls(2)
+        pool = ResidentPool(2)
+        if shape == "chunk":
+            with ExecutionContext(workers=2, cpu_count=4, pool=pool) as context:
+                context.solve_many(_requests(small_facebook), mode="solve")
+        else:
+            _stage_solve(small_facebook, pool)
         for proc in pool._procs:
             proc.kill()
         for proc in pool._procs:
@@ -478,7 +536,7 @@ class TestCloseHygiene:
 
     def test_context_close_with_dead_workers(self, no_orphans):
         context = ExecutionContext(workers=2)
-        pool = context.solve_pool()
+        pool = context.pool()
         for proc in pool._procs:
             proc.kill()
         context.close()

@@ -36,7 +36,8 @@ from repro.parallel.residency import (
     apply_graph_patch,
     plan_graph_message,
 )
-from repro.parallel.stage_pool import ShardedStageExecutor, StagePool
+from repro.parallel.pool import ResidentPool
+from repro.parallel.stage_pool import ShardedStageExecutor
 
 
 @pytest.fixture
@@ -326,7 +327,7 @@ class TestEngineEquivalence:
         patched_graph, fresh_graph = self._mutated_pair(22)
         results = []
         for graph in (patched_graph, fresh_graph):
-            with StagePool(2) as pool:
+            with ResidentPool(2) as pool:
                 executor = ShardedStageExecutor(pool=pool)
                 solver = CBASND(
                     budget=120, m=6, stages=3, engine=engine,
@@ -412,7 +413,8 @@ class TestResidencyPatchProtocol:
 
 
 # ----------------------------------------------------------------------
-# Warm stage pool: sparse patch instead of re-install, chaos recovery
+# Warm pool under stage-sharded solves: sparse patch instead of re-install,
+# chaos recovery
 # ----------------------------------------------------------------------
 class TestWarmPoolPatching:
     def _solve(self, graph, pool, rng):
@@ -422,19 +424,19 @@ class TestWarmPoolPatching:
 
     def test_warm_workers_receive_patch_not_install(self, no_orphans):
         graph = _general_graph(40, 41)
-        with StagePool(2) as pool:
+        with ResidentPool(2) as pool:
             first = self._solve(graph, pool, 4)
-            assert pool.installs == 1
+            assert pool.installs == 2
             graph.compiled().apply_deltas(
                 [("add_node", "late", 1.1, 0.5),
                  ("add_edge", "late", next(iter(graph.nodes())), 0.4)]
             )
             second = self._solve(graph, pool, 4)
-            assert pool.installs == 1  # no re-install: patched in place
+            assert pool.installs == 2  # no re-install: patched in place
             assert second.stats.extra["graph_patch_bytes"] > 0
             assert not second.stats.extra["graph_shipped"]
         # And the patched solve matches a cold pool on the same graph.
-        with StagePool(2) as pool:
+        with ResidentPool(2) as pool:
             cold = self._solve(graph, pool, 4)
         assert second.solution.members == cold.solution.members
         assert second.solution.willingness == cold.solution.willingness
@@ -447,11 +449,11 @@ class TestWarmPoolPatching:
             ("add_node", "late", 1.1, 0.5),
             ("add_edge", "late", next(iter(graph.nodes())), 0.4),
         ]
-        with StagePool(2) as pool:
+        with ResidentPool(2) as pool:
             self._solve(clean_graph, pool, 4)
             clean_graph.compiled().apply_deltas(list(deltas))
             clean = self._solve(clean_graph, pool, 4)
-        with StagePool(2) as pool:
+        with ResidentPool(2) as pool:
             self._solve(graph, pool, 4)
             graph.compiled().apply_deltas(list(deltas))
             # Kill worker 0 on its next send — the graph_patch record —

@@ -381,11 +381,11 @@ class TestPrunedDeclines:
                 solution = planner.plan()
                 first_extra = planner.last_result.stats.extra
                 assert first_extra["graph_shipped"]
-                installs_before = context.stage_pool().installs
+                installs_before = context.pool().installs
                 victim = next(iter(sorted(solution.members, key=repr)))
                 planner.record_decline(victim)
                 extra = planner.last_result.stats.extra
-                assert context.stage_pool().installs == installs_before
+                assert context.pool().installs == installs_before
                 assert extra.get("graph_installs", 0) == 0
                 assert not extra["graph_shipped"]
                 assert extra["graph_patch_bytes"] > 0

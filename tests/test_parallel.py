@@ -1,4 +1,4 @@
-"""Tests for the solve-level parallel pool and its residency protocol."""
+"""Tests for the resident pool's chunk path and its residency protocol."""
 
 import pickle
 
@@ -8,7 +8,7 @@ from repro.algorithms.cbas_nd import CBASND
 from repro.core.problem import WASOProblem
 from repro.parallel import (
     ParallelSolver,
-    ResidentSolvePool,
+    ResidentPool,
     parallel_solve,
     split_budget,
     worker_payload_bytes,
@@ -110,7 +110,7 @@ class TestParallelSolve:
 
     def test_payload_bytes_on_detached_problem(self, small_facebook):
         """Regression: an already array-backed problem — exactly what the
-        resident pools ship — must report its slim size instead of
+        resident pool ships — must report its slim size instead of
         raising (``dict_graph_bytes`` has nothing left to measure)."""
         problem = WASOProblem(graph=small_facebook, k=5)
         both = worker_payload_bytes(problem)
@@ -131,28 +131,6 @@ class TestParallelSolve:
         with pytest.raises(ValueError):
             parallel_solve(problem, factory, total_budget=1, workers=4)
 
-    def test_reuses_caller_owned_pool(self, small_facebook):
-        """A shared executor serves several runs and is not shut down."""
-        from concurrent.futures import ProcessPoolExecutor
-
-        problem = WASOProblem(graph=small_facebook, k=5)
-        factory = lambda budget: CBASND(  # noqa: E731
-            budget=budget, m=5, stages=3
-        )
-        with ProcessPoolExecutor(max_workers=2) as shared:
-            first = parallel_solve(
-                problem, factory, total_budget=60, workers=2, rng=4,
-                pool=shared,
-            )
-            second = parallel_solve(
-                problem, factory, total_budget=60, workers=2, rng=5,
-                pool=shared,
-            )
-            assert first.solution.is_feasible(problem)
-            assert second.solution.is_feasible(problem)
-            # The pool survives parallel_solve: it still accepts work.
-            assert shared.submit(sum, (1, 2)).result() == 3
-
 
 class TestResidentSolvePool:
     def _factory(self, **kwargs):
@@ -164,7 +142,7 @@ class TestResidentSolvePool:
         """The tentpole property: repeated best-of solves on one graph
         install the detached arrays exactly once per worker."""
         problem = WASOProblem(graph=small_facebook, k=5)
-        with ResidentSolvePool(2) as pool:
+        with ResidentPool(2) as pool:
             first = parallel_solve(
                 problem, self._factory(), total_budget=60, workers=2,
                 rng=4, pool=pool,
@@ -184,29 +162,20 @@ class TestResidentSolvePool:
             assert second.stats.extra["batch_payload_bytes"] < slim
             assert first.stats.extra["batch_payload_bytes"] > slim
 
-    def test_resident_pool_matches_legacy_and_owned(self, small_facebook):
-        """Bit-identity across the three pool flavours: owned resident
-        pool, shared resident pool, and a legacy executor pool."""
-        from concurrent.futures import ProcessPoolExecutor
-
+    def test_owned_and_shared_pools_match(self, small_facebook):
+        """Bit-identity between a per-call owned pool and a shared one."""
         problem = WASOProblem(graph=small_facebook, k=5)
         owned = parallel_solve(
             problem, self._factory(), total_budget=60, workers=2, rng=4
         )
-        with ResidentSolvePool(2) as pool:
+        with ResidentPool(2) as pool:
             resident = parallel_solve(
                 problem, self._factory(), total_budget=60, workers=2,
                 rng=4, pool=pool,
             )
-        with ProcessPoolExecutor(max_workers=2) as legacy_pool:
-            legacy = parallel_solve(
-                problem, self._factory(), total_budget=60, workers=2,
-                rng=4, pool=legacy_pool,
-            )
-        for other in (resident, legacy):
-            assert other.members == owned.members
-            assert other.willingness == owned.willingness
-            assert other.stats.samples_drawn == owned.stats.samples_drawn
+        assert resident.members == owned.members
+        assert resident.willingness == owned.willingness
+        assert resident.stats.samples_drawn == owned.stats.samples_drawn
 
     def test_eviction_forces_reshipping(self, small_facebook):
         """A capacity-1 cache alternating two graphs re-ships on every
@@ -215,7 +184,7 @@ class TestResidentSolvePool:
 
         problem_a = WASOProblem(graph=small_facebook, k=5)
         problem_b = WASOProblem(graph=facebook_like(120, seed=9), k=4)
-        with ResidentSolvePool(2, resident_graphs=1) as pool:
+        with ResidentPool(2, resident_graphs=1) as pool:
             for expected_installs, problem, seed in (
                 (2, problem_a, 1),   # cold: ship A
                 (2, problem_a, 2),   # warm: nothing
@@ -235,7 +204,7 @@ class TestResidentSolvePool:
         """The dict path has no resident representation: reference-engine
         workers get the full problem, and no graph is installed."""
         problem = WASOProblem(graph=small_facebook, k=5)
-        with ResidentSolvePool(2) as pool:
+        with ResidentPool(2) as pool:
             result = parallel_solve(
                 problem,
                 self._factory(engine="reference"),
@@ -260,8 +229,7 @@ class TestResidentSolvePool:
         problem_a = WASOProblem(graph=small_facebook, k=5)
         problem_b = WASOProblem(graph=facebook_like(120, seed=9), k=4)
         solver = CBASND(budget=30, m=4, stages=2)
-        with ResidentSolvePool(1) as pool:
-            pool.begin_batch()
+        with ResidentPool(1) as pool:
             for index, problem in enumerate((problem_a, problem_b)):
                 spec = problem.payload_spec()
                 pool.ship(
@@ -286,7 +254,7 @@ class TestResidentSolvePool:
 
     def test_pool_smaller_than_workers_rejected(self, small_facebook):
         problem = WASOProblem(graph=small_facebook, k=5)
-        with ResidentSolvePool(1) as pool:
+        with ResidentPool(1) as pool:
             with pytest.raises(ValueError, match="workers"):
                 parallel_solve(
                     problem, self._factory(), total_budget=60, workers=2,
@@ -294,16 +262,16 @@ class TestResidentSolvePool:
                 )
 
     def test_closed_pool_rejected(self, small_facebook):
-        pool = ResidentSolvePool(1)
+        pool = ResidentPool(1)
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
             pool.ship(0, [], {})
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ResidentSolvePool(0)
+            ResidentPool(0)
         with pytest.raises(ValueError):
-            ResidentSolvePool(1, resident_graphs=0)
+            ResidentPool(1, resident_graphs=0)
 
 
 class TestParallelSolver:

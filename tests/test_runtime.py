@@ -185,8 +185,7 @@ class TestExecutionContext:
         before = _children()
         with ExecutionContext(workers=2) as context:
             context.solve(problem, "cbas-nd", rng=1, budget=40, m=4, stages=2)
-            assert context._stage_pool is None
-            assert context._solve_pool is None
+            assert context._pool is None
         assert _children() == before
 
     def test_solver_pickles_without_its_context(self, small_facebook):
@@ -195,7 +194,7 @@ class TestExecutionContext:
         problem = WASOProblem(graph=small_facebook, k=5)
         with ExecutionContext(workers=2) as context:
             solver = context.make_solver("cbas-nd", budget=40, m=4, stages=2)
-            context.stage_pool()  # pools must never cross the pickle
+            context.pool()  # pools must never cross the pickle
             clone = pickle.loads(pickle.dumps(solver))
         assert clone.context is not solver.context
         assert clone.context.mode == "serial"
@@ -275,7 +274,7 @@ class TestExecutionContext:
         )
         serial = context.executor_for(reference, problem)
         assert not hasattr(serial, "pool")
-        assert context._stage_pool is None  # lazily skipped, too
+        assert context._pool is None  # lazily skipped, too
         context.close()
 
 
@@ -366,7 +365,7 @@ class TestSolveMany:
     ):
         """Regression: a batch of large solves whose solver cannot shard
         (no shard hooks / reference engine) must multiplex onto the
-        solve pool, not run sequentially inline via a dead stage route."""
+        pool as chunks, not run sequentially inline via a dead stage route."""
         problem = WASOProblem(graph=runtime_graph, k=5)
         big_budget = max(
             MIN_STAGE_BUDGET,
@@ -393,8 +392,9 @@ class TestSolveMany:
         ]
         with ExecutionContext(workers=2, cpu_count=4) as context:
             batched = context.solve_many(requests)
-            assert context._stage_pool is None  # nothing took the dead route
-            assert context._solve_pool is not None
+            assert context._pool is not None
+        # Nothing took the dead route: every result is a multiplexed one.
+        assert all("shard_rpcs" not in r.stats.extra for r in batched)
         for lhs, rhs in zip(looped, batched):
             _assert_same_result(lhs, rhs)
 
@@ -537,13 +537,13 @@ class TestServingSessionResidency:
     def test_session_ships_graph_once_per_worker(self, runtime_graph):
         """Acceptance: ``solve_many`` twice plus a replan over the same
         problem pickles the detached arrays at most once per worker."""
-        from repro.parallel import ResidentSolvePool, worker_payload_bytes
+        from repro.parallel import ResidentPool, worker_payload_bytes
 
         problem = WASOProblem(graph=runtime_graph, k=5)
         slim = worker_payload_bytes(problem)["compiled_arrays_bytes"]
         looped = self._looped(self._requests(problem, (11, 12, 13), "compiled"))
-        with ResidentSolvePool(2) as pool:
-            with ExecutionContext(workers=2, solve_pool=pool) as context:
+        with ResidentPool(2) as pool:
+            with ExecutionContext(workers=2, pool=pool) as context:
                 first = context.solve_many(
                     self._requests(problem, (11, 12, 13), "compiled"),
                     mode="solve",
@@ -556,7 +556,7 @@ class TestServingSessionResidency:
                 assert first[0].stats.extra["batch_payload_bytes"] > slim
 
                 # An interleaved replan on the same problem must not
-                # re-ship anything to the solve pool.
+                # re-ship anything to the pool.
                 with OnlinePlanner(
                     problem,
                     solver=context.make_solver(
@@ -600,7 +600,7 @@ class TestServingSessionResidency:
         eviction forces a re-ship, and every batch stays bit-identical
         to its serial loop — on both engines."""
         from repro.graph.generators import facebook_like
-        from repro.parallel import ResidentSolvePool
+        from repro.parallel import ResidentPool
 
         problem_a = WASOProblem(graph=runtime_graph, k=5)
         problem_b = WASOProblem(graph=facebook_like(120, seed=32), k=4)
@@ -611,8 +611,8 @@ class TestServingSessionResidency:
             self._requests(problem_a, (6, 7, 8), engine),
         ]
         looped = [self._looped(batch) for batch in batches]
-        with ResidentSolvePool(2, resident_graphs=1) as pool:
-            with ExecutionContext(workers=2, solve_pool=pool) as context:
+        with ResidentPool(2, resident_graphs=1) as pool:
+            with ExecutionContext(workers=2, pool=pool) as context:
                 outcomes = [
                     context.solve_many(batch, mode="solve")
                     for batch in batches
@@ -736,7 +736,7 @@ class TestPoolHygiene:
                 for s in (1, 2)
             ]
             context.solve_many(requests, mode="solve")
-            assert _children() - before  # both pools actually spawned
+            assert _children() - before  # the pool actually spawned
         assert _children() == before
 
     def test_no_workers_leak_after_close(self, small_facebook):
@@ -783,9 +783,7 @@ class TestPoolHygiene:
                 problem, "cbas-nd", rng=1, mode="stage",
                 budget=40, m=4, stages=2,
             )
-            with ExecutionContext(
-                workers=2, stage_pool=owner.stage_pool()
-            ) as borrower:
+            with ExecutionContext(workers=2, pool=owner.pool()) as borrower:
                 borrower.solve(
                     problem, "cbas-nd", rng=2, mode="stage",
                     budget=40, m=4, stages=2,
@@ -799,6 +797,43 @@ class TestPoolHygiene:
         assert _children() == before
 
 
+class TestOnePool:
+    """Chunks and stage shards run on the same W resident workers."""
+
+    def _batch(self, problem):
+        return [
+            SolveRequest(problem, "cbas-nd", seed, dict(budget=30, m=3))
+            for seed in (1, 2)
+        ]
+
+    def test_both_dispatch_shapes_run_on_w_processes(self, small_facebook):
+        problem = WASOProblem(graph=small_facebook, k=5)
+        before = _children()
+        with ExecutionContext(workers=2, cpu_count=4) as context:
+            context.solve_many(self._batch(problem), mode="solve")
+            context.solve(
+                problem, "cbas-nd", rng=1, mode="stage",
+                budget=40, m=4, stages=2,
+            )
+            assert len(_children() - before) == 2
+        assert _children() == before
+
+    def test_chunk_installs_serve_stage_solves(self, small_facebook):
+        """A graph a chunk batch installed is already resident for a
+        stage-sharded solve: nothing is shipped twice."""
+        problem = WASOProblem(graph=small_facebook, k=5)
+        with ExecutionContext(workers=2, cpu_count=4) as context:
+            batch = context.solve_many(self._batch(problem), mode="solve")
+            assert batch[0].stats.extra["graph_installs"] == 2
+            installs = context.pool().installs
+            staged = context.solve(
+                problem, "cbas-nd", rng=1, mode="stage",
+                budget=40, m=4, stages=2,
+            )
+            assert staged.stats.extra["graph_shipped"] is False
+            assert context.pool().installs == installs
+
+
 class TestOnlinePlannerRuntime:
     def test_planner_runs_through_a_shared_context(self, small_facebook):
         problem = WASOProblem(graph=small_facebook, k=5)
@@ -810,13 +845,13 @@ class TestOnlinePlannerRuntime:
             ) as planner:
                 group = planner.plan()
                 assert planner.last_result.stats.extra["graph_shipped"]
-                assert context._stage_pool is not None
-                installs = context._stage_pool.installs
+                assert context._pool is not None
+                installs = context._pool.installs
                 victim = next(iter(sorted(group.members)))
                 planner.record_decline(victim)
                 # The replan reused the resident pool: no second install,
                 # no re-shipped graph.
-                assert context._stage_pool.installs == installs
+                assert context._pool.installs == installs
                 assert (
                     planner.last_result.stats.extra["graph_shipped"] is False
                 )

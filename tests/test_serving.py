@@ -51,6 +51,7 @@ from repro.serving import (
     PendingRequest,
     ServingDaemon,
 )
+from repro.serving.daemon import MAX_LINE_BYTES
 
 pytestmark = pytest.mark.chaos
 
@@ -242,6 +243,35 @@ class TestDifferential:
             reply = replies[spec["id"]]
             _assert_reply_matches(reply, result)
             assert reply["extra"]["worker_restarts"] == 1
+
+    def test_worker_kills_reach_stage_routed_requests(
+        self, small_facebook, no_orphans
+    ):
+        """The daemon's fault plan sits on the one pool, so it fires under
+        a stage-routed request too — and recovery stays invisible."""
+        specs = _specs(1)
+        direct = _direct_results(small_facebook, specs, mode="stage")
+
+        async def scenario():
+            plan = FaultPlan(kills=[(0, NEXT_RPC)])
+            daemon = ServingDaemon(
+                small_facebook,
+                mode="stage",
+                fault_plan=plan,
+                **_daemon_kwargs(),
+            )
+            host, port = await daemon.start()
+            try:
+                replies = await _send_all(host, port, specs)
+            finally:
+                await daemon.shutdown()
+            return replies, plan.log
+
+        replies, log = asyncio.run(scenario())
+        assert log, "the injected kill never fired"
+        reply = replies[specs[0]["id"]]
+        _assert_reply_matches(reply, direct[0])
+        assert reply["extra"]["worker_restarts"] >= 1
 
     def test_client_disconnect_mid_solve_keeps_daemon_serving(
         self, small_facebook, no_orphans
@@ -615,6 +645,53 @@ class TestRequestValidation:
         assert replies[5]["error"]["kind"] == "invalid"
         assert "JSON object" in replies[5]["error"]["message"]
 
+    @pytest.mark.parametrize("writes", [1, 5])
+    def test_oversized_line_is_answered_and_the_connection_resyncs(
+        self, small_facebook, writes
+    ):
+        """A line past MAX_LINE_BYTES gets one typed ``too_large`` reply,
+        counts as invalid, and the next line on the same connection is
+        served — whether the long line arrives in one write or several."""
+        long_line = (
+            b'{"id": "big", "k": 4, "pad": "'
+            + b"x" * MAX_LINE_BYTES
+            + b'"}\n'
+        )
+        step = -(-len(long_line) // writes)
+        pieces = [
+            long_line[offset:offset + step]
+            for offset in range(0, len(long_line), step)
+        ]
+        valid = json.dumps(
+            {"id": "after", "k": 4, "budget": 40, "seed": 3}
+        ).encode() + b"\n"
+
+        async def scenario():
+            daemon = ServingDaemon(small_facebook, workers=1)
+            host, port = await daemon.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                for piece in pieces + [valid]:
+                    writer.write(piece)
+                    await writer.drain()
+                    await asyncio.sleep(0.01)
+                writer.write_eof()
+                replies = []
+                while line := await reader.readline():
+                    replies.append(json.loads(line))
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await daemon.shutdown()
+            return replies, daemon.counters["invalid"]
+
+        replies, invalid = asyncio.run(scenario())
+        assert len(replies) == 2
+        assert replies[0]["id"] == 1
+        assert replies[0]["error"]["kind"] == "too_large"
+        assert replies[1]["id"] == "after" and replies[1]["ok"]
+        assert invalid == 1
+
 
 # ----------------------------------------------------------------------
 # Lifecycle: drain, degraded serving, health endpoints
@@ -680,6 +757,21 @@ class TestLifecycle:
         asyncio.run(scenario())
         # no_orphans asserts every pool worker is gone.
 
+    def test_one_pool_of_w_processes(self, small_facebook, no_orphans):
+        """A started daemon pre-spawns exactly W pool workers: both
+        parallel modes share them."""
+
+        async def scenario():
+            before = set(multiprocessing.active_children())
+            daemon = ServingDaemon(small_facebook, **_daemon_kwargs())
+            await daemon.start()
+            try:
+                return set(multiprocessing.active_children()) - before
+            finally:
+                await daemon.shutdown()
+
+        assert len(asyncio.run(scenario())) == 2
+
     def test_health_endpoints(self, small_facebook, no_orphans):
         async def scenario():
             daemon = ServingDaemon(small_facebook, **_daemon_kwargs())
@@ -735,7 +827,7 @@ class TestLifecycle:
                 health = await _http_get(host, port, "/healthz")
                 degraded = daemon.context.degraded
             finally:
-                # shutdown() discards the pools, which clears the flag —
+                # shutdown() discards the pool, which clears the flag —
                 # capture it while the daemon is still serving.
                 await daemon.shutdown()
             return replies, health, degraded

@@ -237,7 +237,7 @@ class TestResidency:
         def run(plan):
             with ExecutionContext(workers=2, cpu_count=4) as context:
                 if plan is not None:
-                    context.solve_pool().fault_plan = plan
+                    context.pool().fault_plan = plan
                 return context.solve_many(
                     [
                         SolveRequest(r.problem, r.solver, r.rng,
