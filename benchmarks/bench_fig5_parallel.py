@@ -5,24 +5,19 @@ processes instead of threads (GIL), so the reproduced claim is the
 *shape*: wall-clock time decreases as workers are added, and multi-worker
 runs beat the single-worker baseline.
 
-Both parallel modes are measured side by side, each driven through the
-runtime layer (:class:`~repro.runtime.ExecutionContext` owns the pool):
+The measured mode is the paper's loop, driven through the runtime layer
+(:class:`~repro.runtime.ExecutionContext` owns the pool):
 
-* ``time`` / ``quality`` / ``payload_bytes`` — the solve-level best-of
-  mode (``mode="solve"``): the budget is split into independent whole
-  solves.  One resident pool (sized for the largest sweep point) is
-  created by an outer context and shared by every worker count, so the
-  series measures solving rather than per-run process
-  startup — and, because the pool keeps the detached graph arrays
-  resident, the timed runs ship only O(1) specs.  ``payload_bytes``
-  records each timed run's actual wire bytes (the solve-mode shipping
-  the overhead tables used to undercount, now observable from
-  ``SolveStats.extra`` via the shared residency accounting).
 * ``stage_time`` / ``stage_quality`` — the stage-level sharded-CE mode
   (``mode="stage"``): one solve whose per-stage draws are sharded across
-  the context's resident pool.  Each context is warmed with an
-  untimed solve (residency + OS-level warmup) before the timed run,
-  mirroring the pool reuse of the best-of series.
+  the context's resident pool, so every CE refit sees the merged elites.
+  Each context is warmed with an untimed solve (residency + OS-level
+  warmup) before the timed run; one worker is the serial baseline.
+* ``crash_recovery_time`` — the same warm max-worker stage solve with
+  worker 0 SIGKILLed before its next RPC.  The shard seeds travel with
+  the work, so the recovered result must be bit-identical to the clean
+  run; the extra cost (respawn + graph re-ship + shard redraw) is the
+  series' overhead point.
 
 Streaming-mutation series (``graph_patch`` in ``BENCH_sampler.json``):
 on the n=10k graph, an :class:`~repro.online.OnlinePlanner` with
@@ -74,67 +69,6 @@ def run_experiment() -> ExperimentTable:
     )
     usable = [w for w in WORKER_COUNTS if w <= (os.cpu_count() or 1)]
     kwargs = dict(budget=BUDGET, m=M, stages=STAGES)
-
-    # --- solve-level best-of: one persistent shared pool for all counts --
-    with ExecutionContext(workers=max(usable)) as shared:
-        # Warm the pool (process spawn + first-import cost) outside
-        # every timed region.
-        shared.solve(
-            problem,
-            "cbas-nd",
-            rng=1,
-            mode="solve",
-            budget=max(usable) * 4,
-            m=M,
-            stages=2,
-        )
-        for workers in usable:
-            with ExecutionContext(
-                workers=workers, pool=shared.pool()
-            ) as context:
-                mode = "solve" if workers > 1 else "serial"
-                started = time.perf_counter()
-                result = context.solve(
-                    problem, "cbas-nd", rng=3, mode=mode, **kwargs
-                )
-                elapsed = time.perf_counter() - started
-            table.add("time", workers, elapsed)
-            table.add("quality", workers, result.willingness)
-            # Wire bytes of the timed run: with the graph resident from
-            # the warm-up, only specs + seeds + solver configs ship.
-            table.add(
-                "payload_bytes",
-                workers,
-                result.stats.extra.get("batch_payload_bytes", 0),
-            )
-            best_of_result = result
-
-        # --- crash-recovery overhead: the same warm max-worker run with
-        # one worker SIGKILLed mid-dispatch.  The seeds travel with the
-        # chunks, so the recovered result must be bit-identical; the
-        # extra cost (respawn + graph re-ship + redraw) is the series'
-        # overhead point.
-        if max(usable) > 1:
-            from repro.parallel import NEXT_RPC, FaultPlan
-
-            pool = shared.pool()
-            pool.fault_plan = FaultPlan(kills=[(0, NEXT_RPC)])
-            try:
-                with ExecutionContext(
-                    workers=max(usable), pool=pool
-                ) as context:
-                    started = time.perf_counter()
-                    recovered = context.solve(
-                        problem, "cbas-nd", rng=3, mode="solve", **kwargs
-                    )
-                    elapsed = time.perf_counter() - started
-            finally:
-                pool.fault_plan = None
-            assert recovered.willingness == best_of_result.willingness
-            assert recovered.stats.extra["worker_restarts"] >= 1
-            table.add("crash_recovery_time", max(usable), elapsed)
-
-    # --- stage-level sharded CE: one solve, draws sharded per stage ---
     for workers in usable:
         mode = "stage" if workers > 1 else "serial"
         with ExecutionContext(workers=workers) as context:
@@ -146,9 +80,36 @@ def run_experiment() -> ExperimentTable:
                 problem, "cbas-nd", rng=3, mode=mode, **kwargs
             )
             elapsed = time.perf_counter() - started
+            if workers > 1 and workers == max(usable):
+                table.add(
+                    "crash_recovery_time",
+                    workers,
+                    _timed_recovery(context, problem, result, kwargs),
+                )
         table.add("stage_time", workers, elapsed)
         table.add("stage_quality", workers, result.willingness)
     return table
+
+
+def _timed_recovery(context, problem, clean, kwargs) -> float:
+    """Wall clock of the warm stage solve with worker 0 killed mid-solve."""
+    from repro.parallel import NEXT_RPC, FaultPlan
+
+    pool = context.pool()
+    pool.fault_plan = FaultPlan(kills=[(0, NEXT_RPC)])
+    try:
+        started = time.perf_counter()
+        recovered = context.solve(
+            problem, "cbas-nd", rng=3, mode="stage", **kwargs
+        )
+        elapsed = time.perf_counter() - started
+    finally:
+        pool.fault_plan = None
+    assert recovered.members == clean.members
+    assert recovered.willingness == clean.willingness
+    assert recovered.stats.samples_drawn == clean.stats.samples_drawn
+    assert recovered.stats.extra["worker_restarts"] >= 1
+    return elapsed
 
 
 def measure_graph_patch() -> dict:
@@ -235,41 +196,31 @@ def test_fig5d_parallel_speedup(benchmark):
     table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     table.show(fmt="{:.3f}")
 
-    times = table.series["time"]
-    workers = times.xs()
+    stage_times = table.series["stage_time"]
+    workers = stage_times.xs()
     if len(workers) < 2:
         return  # single-core machine: nothing to compare
-    baseline = times.at(1)
+    baseline = stage_times.at(1)
     speedups = geometric_speedup(
-        [times.at(w) for w in workers], baseline=baseline
-    )
-    print(f"best-of speedups vs 1 worker: {[f'{s:.2f}x' for s in speedups]}")
-    if "crash_recovery_time" in table.series:
-        recovery = table.series["crash_recovery_time"]
-        clean = times.at(max(workers))
-        overhead = recovery.at(max(workers)) - clean
-        print(
-            f"crash-recovery overhead at {max(workers)} workers: "
-            f"{overhead * 1e3:+.1f} ms over a {clean * 1e3:.1f} ms clean run"
-        )
-    stage_times = table.series["stage_time"]
-    stage_speedups = geometric_speedup(
-        [stage_times.at(w) for w in workers], baseline=stage_times.at(1)
+        [stage_times.at(w) for w in workers], baseline=baseline
     )
     print(
         "stage-sharded speedups vs serial: "
-        f"{[f'{s:.2f}x' for s in stage_speedups]}"
+        f"{[f'{s:.2f}x' for s in speedups]}"
     )
-    # Shape: the best multi-worker run beats the serial baseline, in
-    # both parallel modes.
-    assert min(times.at(w) for w in workers[1:]) < baseline
-    assert min(stage_times.at(w) for w in workers[1:]) < stage_times.at(1)
-    # Shape: quality does not collapse when the budget is split —
-    # and the stage-sharded mode refits from the full elite set, so its
-    # quality must stay comparable to the serial solve too.
-    for name in ("quality", "stage_quality"):
-        qualities = table.series[name]
-        assert min(qualities.ys()) >= max(qualities.ys()) * 0.5
+    recovery = table.series["crash_recovery_time"]
+    clean = stage_times.at(max(workers))
+    overhead = recovery.at(max(workers)) - clean
+    print(
+        f"crash-recovery overhead at {max(workers)} workers: "
+        f"{overhead * 1e3:+.1f} ms over a {clean * 1e3:.1f} ms clean run"
+    )
+    # Shape: the best multi-worker run beats the serial baseline.
+    assert min(stage_times.at(w) for w in workers[1:]) < baseline
+    # Shape: stage shards refit from the full elite set, so quality must
+    # stay comparable to the serial solve.
+    qualities = table.series["stage_quality"]
+    assert min(qualities.ys()) >= max(qualities.ys()) * 0.5
 
 
 def _print_graph_patch(series: dict) -> None:

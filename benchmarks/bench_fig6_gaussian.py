@@ -13,7 +13,7 @@ import random
 import statistics
 
 from common import RUN_SEED
-from repro.algorithms.cbas_nd import CBASND, cbas_nd_g
+from repro.algorithms.cbas_nd import CBASND, CBASNDG
 from repro.algorithms.sampling import ExpansionSampler
 from repro.bench.datasets import bench_graph
 from repro.bench.harness import ExperimentTable
@@ -58,7 +58,7 @@ def quality_comparison() -> ExperimentTable:
         budget = 50 * k
         for name, factory in (
             ("CBAS-ND", lambda: CBASND(budget=budget, m=25, stages=6)),
-            ("CBAS-ND-G", lambda: cbas_nd_g(budget=budget, m=25, stages=6)),
+            ("CBAS-ND-G", lambda: CBASNDG(budget=budget, m=25, stages=6)),
         ):
             total = 0.0
             for repeat in range(REPEATS):

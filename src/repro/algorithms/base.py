@@ -115,8 +115,8 @@ class ContextSolver(Solver):
     caller-supplied context provides the engine, the stage-executor
     routing, and the worker pool; without one the solver gets a private
     *serial* context, which reproduces the historical direct-call
-    behaviour bit for bit (the deprecated ``engine=`` kwarg delegates to
-    that private context).
+    behaviour bit for bit.  An explicit ``engine=`` overrides the
+    context's engine for this solver.
     """
 
     #: The runtime layer this solver executes through.

@@ -19,11 +19,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.algorithms.base import ContextSolver, SolveResult, SolveStats
 from repro.algorithms.sampling import ExpansionSampler, Sample
-from repro.algorithms.stage_exec import (
-    MAX_CONSECUTIVE_FAILURES,
-    StageContext,
-    StageExecutor,
-)
+from repro.algorithms.stage_exec import MAX_CONSECUTIVE_FAILURES, StageContext
 from repro.algorithms.start_nodes import default_start_count, select_start_nodes
 from repro.budget.ocba import (
     StartNodeStats,
@@ -86,19 +82,16 @@ class CBAS(ContextSolver):
         Confidence and closeness-ratio parameters used only to derive the
         default ``stages``.
     engine:
-        Deprecated shim — prefer configuring the ``context``.
         ``"compiled"`` runs sampling on the flat-array
         :class:`~repro.graph.compiled.CompiledGraph` index;
         ``"reference"`` keeps the dict-based path.  Seeded results are
         identical on both engines.  ``None`` (the default) inherits the
-        context's engine (itself defaulting to ``"compiled"``).
-    executor:
-        Deprecated shim — prefer the context's mode routing.  An
-        explicit :class:`~repro.algorithms.stage_exec.StageExecutor`
-        pins the stage strategy for every solve, bypassing the context.
+        context's engine (itself defaulting to ``"compiled"``).  It is
+        also a request-spec key, and how pool workers rebuild a solver
+        with its context's engine.
     context:
         The :class:`~repro.runtime.context.ExecutionContext` this solver
-        executes through (engine, stage-executor routing, worker pool).
+        executes through (engine, stage-strategy routing, worker pool).
         Without one the solver gets a private serial context — the
         historical in-process behaviour, bit for bit.
     """
@@ -115,7 +108,6 @@ class CBAS(ContextSolver):
         allocation: str = "uniform",
         start_selection: str = "potential",
         engine: Optional[str] = None,
-        executor: Optional[StageExecutor] = None,
         context: "Optional[ExecutionContext]" = None,
     ) -> None:
         if budget < 1:
@@ -141,7 +133,6 @@ class CBAS(ContextSolver):
         self.allocation = allocation
         self.start_selection = start_selection
         self._init_context(engine, context)
-        self.executor = executor
         #: Install a :class:`CBASWarmState` here (online re-planning) to
         #: reuse phase-1 starts / CE vectors; cleared by the caller, not
         #: by the solver, so one state can serve several re-plans.
@@ -192,12 +183,10 @@ class CBAS(ContextSolver):
                 problem, starts, node_stats, stats
             )
 
-        # Explicit executor (deprecated kwarg) wins; otherwise the context
-        # routes — serial by default, stage-sharded when its cost model
-        # (or a forced mode) says this solve is worth sharding.
-        executor = self.executor
-        if executor is None:
-            executor = self.context.executor_for(self, problem)
+        # The context picks the stage strategy — serial by default,
+        # stage-sharded when its cost model (or a forced mode) says this
+        # solve is worth sharding, or whatever executor it pins.
+        executor = self.context.executor_for(self, problem)
         context = StageContext(
             solver=self,
             problem=problem,

@@ -13,7 +13,8 @@ cross-entropy update of Eq. (4) and smoothed with weight ``w``:
 Theorem 6 shows this strictly improves the convergence rate over CBAS at
 equal budget.  ``allocation="gaussian"`` switches the budget-allocation
 rule to the Appendix-A Gaussian model, giving the paper's **CBAS-ND-G**
-variant (Fig. 6); :func:`cbas_nd_g` is a convenience constructor for it.
+variant (Fig. 6); :class:`CBASNDG` is that variant under its registry
+name.
 
 The optional ``backtrack_threshold`` enables the §4.4.2 extension: when a
 vector's movement ``z_i`` drops below the threshold, it is reset to its
@@ -22,6 +23,7 @@ previous state to escape premature convergence.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import TYPE_CHECKING, Optional
@@ -29,7 +31,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.algorithms.base import SolveStats
 from repro.algorithms.cbas import CBAS, CBASWarmState
 from repro.algorithms.sampling import ExpansionSampler, Sample
-from repro.algorithms.stage_exec import MAX_CONSECUTIVE_FAILURES, StageExecutor
+from repro.algorithms.stage_exec import MAX_CONSECUTIVE_FAILURES
 from repro.ce.convergence import BacktrackController
 from repro.ce.probability import SelectionProbabilities
 from repro.core.problem import WASOProblem
@@ -41,7 +43,7 @@ from repro.core.willingness import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.context import ExecutionContext
 
-__all__ = ["CBASND", "cbas_nd_g"]
+__all__ = ["CBASND", "CBASNDG"]
 
 
 class CBASND(CBAS):
@@ -70,7 +72,6 @@ class CBASND(CBAS):
         allocation: str = "uniform",
         start_selection: str = "potential",
         engine: Optional[str] = None,
-        executor: Optional[StageExecutor] = None,
         context: "Optional[ExecutionContext]" = None,
         rho: float = 0.3,
         smoothing: float = 0.9,
@@ -86,7 +87,6 @@ class CBASND(CBAS):
             allocation=allocation,
             start_selection=start_selection,
             engine=engine,
-            executor=executor,
             context=context,
         )
         if not 0.0 < rho <= 1.0:
@@ -314,9 +314,13 @@ class CBASND(CBAS):
         return patch
 
 
-def cbas_nd_g(**kwargs) -> CBASND:
-    """The paper's CBAS-ND-G: CBAS-ND with Gaussian budget allocation."""
-    kwargs.setdefault("allocation", "gaussian")
-    solver = CBASND(**kwargs)
-    solver.name = "cbas-nd-g"
-    return solver
+class CBASNDG(CBASND):
+    """The paper's CBAS-ND-G: CBAS-ND with Gaussian budget allocation.
+
+    Only the ``allocation`` default differs from :class:`CBASND`; the
+    constructor keeps CBAS-ND's named parameters (``inspect.signature``
+    sees through the partial), so request specs validate against them.
+    """
+
+    name = "cbas-nd-g"
+    __init__ = functools.partialmethod(CBASND.__init__, allocation="gaussian")

@@ -34,7 +34,8 @@ class DGreedy(ContextSolver):
     The compiled engine (the context default) reuses the graph's frozen
     flat-array index across solves; deltas are bit-identical to the
     reference path, so the deterministic result is engine-independent.
-    ``engine=`` remains as a deprecated shim over the context.
+    ``engine=`` overrides the context's engine (a request-spec key, and
+    how pool workers rebuild the solver).
     """
 
     name = "dgreedy"

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.algorithms.base import Solver
 from repro.algorithms.cbas import CBAS
-from repro.algorithms.cbas_nd import CBASND, cbas_nd_g
+from repro.algorithms.cbas_nd import CBASND, CBASNDG
 from repro.algorithms.dgreedy import DGreedy
 from repro.algorithms.exact import ExactBnB
 from repro.algorithms.ip import IPSolver
@@ -15,12 +13,12 @@ from repro.algorithms.rgreedy import RGreedy
 
 __all__ = ["available_solvers", "make_solver", "solver_factory"]
 
-_FACTORIES: dict[str, Callable[..., Solver]] = {
+_FACTORIES: dict[str, type[Solver]] = {
     "dgreedy": DGreedy,
     "rgreedy": RGreedy,
     "cbas": CBAS,
     "cbas-nd": CBASND,
-    "cbas-nd-g": cbas_nd_g,
+    "cbas-nd-g": CBASNDG,
     "exact-bnb": ExactBnB,
     "ip": IPSolver,
     "paper-ip": PaperIPSolver,
@@ -32,9 +30,9 @@ def available_solvers() -> list[str]:
     return sorted(_FACTORIES)
 
 
-def solver_factory(name: str) -> Callable[..., Solver]:
-    """The registry factory behind ``name`` (the runtime layer inspects
-    its signature to decide which execution kwargs it understands)."""
+def solver_factory(name: str) -> type[Solver]:
+    """The solver class behind ``name`` (the runtime layer reads its
+    capabilities and request validation reads its signature)."""
     try:
         return _FACTORIES[name]
     except KeyError:

@@ -43,9 +43,9 @@ class RGreedy(ContextSolver):
     m:
         Number of start nodes; defaults to the paper's ``⌈n/k⌉``.
     engine:
-        Deprecated shim (prefer the ``context``): ``"compiled"`` or
-        ``"reference"`` sampling path; seeded results are identical on
-        both.  ``None`` inherits the context's engine.
+        ``"compiled"`` or ``"reference"`` sampling path; seeded results
+        are identical on both.  ``None`` inherits the context's engine.
+        A request-spec key, and how pool workers rebuild the solver.
     context:
         The :class:`~repro.runtime.context.ExecutionContext` to execute
         through (private serial one when omitted).

@@ -98,38 +98,51 @@ class SerialStageExecutor(StageExecutor):
     """
 
     def run_stage(self, ctx: StageContext, shares: "list[int]") -> None:
-        solver = ctx.solver
-        node_stats = ctx.node_stats
-        failures = ctx.failures
-        stats = ctx.stats
-        best_sample = ctx.best_sample
         for index, share in enumerate(shares):
-            if share == 0 or node_stats[index].pruned:
+            if share == 0 or ctx.node_stats[index].pruned:
                 continue
             seed = seed_for_start(ctx.problem, ctx.starts[index])
             # One batch per (start, stage): the sampler resolves the
             # cached seed state once and stops early at the
             # consecutive-failure cap, so stats and RNG consumption
             # match the historical draw-at-a-time loop exactly.
-            batch = solver._draw_batch(
-                ctx.sampler, seed, ctx.rng, index, share, failures[index]
+            batch = ctx.solver._draw_batch(
+                ctx.sampler, seed, ctx.rng, index, share, ctx.failures[index]
             )
-            stage_samples: list[Sample] = []
-            for sample in batch:
-                stats.samples_drawn += 1
-                if sample is None:
-                    stats.failed_samples += 1
-                    failures[index] += 1
-                    if failures[index] >= MAX_CONSECUTIVE_FAILURES:
-                        node_stats[index].pruned = True
-                    continue
-                failures[index] = 0
-                node_stats[index].record(sample.willingness)
-                stage_samples.append(sample)
-                if (
-                    best_sample is None
-                    or sample.willingness > best_sample.willingness
-                ):
-                    best_sample = sample
-            solver._after_start_stage(index, stage_samples, stats)
+            self._record_batch(ctx, index, batch)
+
+    @staticmethod
+    def _record_batch(
+        ctx: StageContext, index: int, batch: "list[Optional[Sample]]"
+    ) -> None:
+        """Account one start's stage batch, sample by sample in order.
+
+        Every draw updates the OCBA statistics, the consecutive-failure
+        write-off and the incumbent best as it is drawn, then the
+        solver's ``_after_start_stage`` hook (the CE refit) runs on the
+        start's successful samples.  Both in-process executors share
+        this accounting, so their statistics agree exactly.
+        """
+        node_stats = ctx.node_stats
+        failures = ctx.failures
+        stats = ctx.stats
+        best_sample = ctx.best_sample
+        stage_samples: list[Sample] = []
+        for sample in batch:
+            stats.samples_drawn += 1
+            if sample is None:
+                stats.failed_samples += 1
+                failures[index] += 1
+                if failures[index] >= MAX_CONSECUTIVE_FAILURES:
+                    node_stats[index].pruned = True
+                continue
+            failures[index] = 0
+            node_stats[index].record(sample.willingness)
+            stage_samples.append(sample)
+            if (
+                best_sample is None
+                or sample.willingness > best_sample.willingness
+            ):
+                best_sample = sample
         ctx.best_sample = best_sample
+        ctx.solver._after_start_stage(index, stage_samples, stats)

@@ -23,9 +23,12 @@ out-of-core serving path.
 turns it into a range query (one line per k).  ``--workers`` and
 ``--mode`` configure the runtime layer: ``--mode auto`` routes each
 solve through the cost model in :mod:`repro.runtime.router`, ``serial``
-/ ``solve`` / ``stage`` force an execution mode.  ``solve`` defaults to
-``serial`` (seeded output identical on every machine); ``solve-many``
-defaults to ``auto``.
+/ ``solve`` / ``stage`` force an execution mode.  ``solve`` mode
+multiplexes a ``solve-many`` batch onto the worker pool; the ``solve``
+subcommand runs one solve per k, so there it prints the ``serial``
+output.  ``stage`` shards each solve's stages across the pool.  ``solve``
+defaults to ``serial`` (seeded output identical on every machine);
+``solve-many`` defaults to ``auto``.
 
 ``solve-many`` is the batched front door: every line of the JSONL file
 is one request over the shared graph, e.g.::
@@ -97,8 +100,9 @@ def _add_runtime_arguments(
         choices=MODES,
         default=default_mode,
         help="execution-mode routing: auto (cost-model router), or force "
-        "serial / solve (budget split across workers) / stage "
-        "(stage-sharded CE).  Seeded `serial` output is identical on "
+        "serial / solve (batched requests multiplexed across workers; a "
+        "single solve runs serially) / stage (one solve's stages sharded "
+        "across workers).  Seeded `serial` output is identical on "
         "every machine; `auto` may stage-shard big solves across the pool, "
         f"whose results depend on the worker count (default: {default_mode})",
     )

@@ -26,13 +26,12 @@ of resetting to the homogeneous prior.  Each solve's
 
 Runtime integration: the planner executes through an
 :class:`~repro.runtime.context.ExecutionContext` — passed in, adopted
-from the solver, or a private serial one — which owns the worker pool
-and the warm-state storage.  The pool is resident
-(:mod:`repro.parallel.residency`): whether re-plans are stage-sharded
-(through the context or a solver-level :class:`~repro.parallel.
-stage_pool.ShardedStageExecutor`) or multiplexed as chunks, they reuse
-the same :class:`~repro.parallel.pool.ResidentPool` *and* the graph
-arrays already resident in it.  By
+from the solver, or a private serial one — which owns the worker pool,
+the stage-strategy choice and the warm-state storage.  The pool is
+resident (:mod:`repro.parallel.residency`): stage-sharded re-plans
+reuse the context's :class:`~repro.parallel.pool.ResidentPool` *and*
+the graph arrays already resident in it, including arrays a
+``solve_many`` batch installed there.  By
 default declines only grow the ``forbidden`` set, which leaves the
 frozen index (and therefore its payload token) unchanged, so each
 re-plan ships an O(1) problem spec instead of the O(V+E) graph.  With
@@ -265,21 +264,15 @@ class OnlinePlanner:
         """Release execution resources held for the planning session
         (idempotent).
 
-        A stage-sharded solver keeps a worker pool warm between re-plans
-        so the graph stays resident; closing the planner closes a
-        solver-level executor (which tears the pool down only if the
-        executor owns it — a caller-shared :class:`~repro.parallel.pool.
-        ResidentPool` stays up for other solvers) and releases the
-        planner's co-ownership of its :class:`~repro.runtime.context.
+        Stage-sharded re-plans keep the context's worker pool warm so
+        the graph stays resident; closing the planner releases its
+        co-ownership of that :class:`~repro.runtime.context.
         ExecutionContext` — the context's pool closes once the last
         owner lets go.
         """
         if self._closed:
             return
         self._closed = True
-        executor = getattr(self.solver, "executor", None)
-        if executor is not None and hasattr(executor, "close"):
-            executor.close()
         self.context.clear_warm_state(self._warm_key)
         self.context.release()
 

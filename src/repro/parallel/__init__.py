@@ -1,7 +1,8 @@
 """Parallel execution of the randomized solvers (paper Fig. 5(d)).
 
-Two complementary modes, both process-based (CPython's GIL rules out the
-paper's OpenMP threads), run on **one resident worker pool**,
+One parallel path per request shape — chunks for a batch, stage shards
+for one large solve — both process-based (CPython's GIL rules out the
+paper's OpenMP threads) and both on **one resident worker pool**,
 :class:`ResidentPool`: W persistent processes that cache detached
 :class:`~repro.graph.compiled.CompiledGraph` arrays keyed by
 :attr:`~repro.graph.compiled.CompiledGraph.payload_token`, so a serving
@@ -27,20 +28,18 @@ it was built against — patching is an optimisation, never a
 correctness hazard (``tests/test_graph_deltas.py`` holds patched
 residents bit-identical to a full refreeze of the mutated source).
 
-* **Solve-level** (:mod:`repro.parallel.pool`, :meth:`ResidentPool.
-  ship` / :meth:`ResidentPool.collect`, :class:`ParallelSolver`): whole
-  solves run inside workers as *chunks*.  ``solve_many`` multiplexes
-  many independent requests onto the pool (each one a full-strength
-  serial solve inside one worker); :func:`parallel_solve` splits one
-  budget ``T`` into ``W`` independent best-of slices — portfolio
-  throughput, but each worker refits its CE vectors from only ``T/W``
-  of the evidence.
-* **Stage-level sharded CE** (:mod:`repro.parallel.stage_pool`,
-  :class:`ShardedStageExecutor` over :meth:`ResidentPool.run_stage`):
-  the draws *inside* each CBAS/CBAS-ND stage are sharded across the
-  pool and merged at stage boundaries, so every Eq. (4) refit sees the
-  *full* elite set — exactly the paper's OpenMP loop.  The only mode
-  that accelerates a *single* large solve at full statistical strength.
+* **A batch of solves → chunks** (``mode="solve"``; :mod:`repro.
+  parallel.pool`, :meth:`ResidentPool.ship` / :meth:`ResidentPool.
+  collect`): ``solve_many`` multiplexes many independent requests onto
+  the pool, each one a full-strength serial solve inside one worker.
+  A single solve has nothing to multiplex, so ``mode="solve"`` on one
+  solve runs it serially in the parent.
+* **One large solve → stage shards** (``mode="stage"``; :mod:`repro.
+  parallel.stage_pool`, :class:`ShardedStageExecutor` over
+  :meth:`ResidentPool.run_stage`): the draws *inside* each
+  CBAS/CBAS-ND stage are sharded across the pool and merged at stage
+  boundaries, so every Eq. (4) refit sees the *full* elite set —
+  exactly the paper's OpenMP loop.
 
 Both shapes share each worker's reply stream: every message is matched
 to its reply by send order, so a batch can mix them — chunks in flight
@@ -51,12 +50,12 @@ Which mode when?  That decision lives in the runtime layer: the cost
 model in :mod:`repro.runtime.router` resolves ``mode="auto"`` per
 request (``choose_mode`` — thresholds recalibrated for the resident
 wire protocol), and :class:`~repro.runtime.context.ExecutionContext`
-owns the pool's lifecycle — prefer going through it rather than
-instantiating the classes here directly.  The modes compose with
-everything else (engines, warm starts); residency requires
-``engine="compiled"`` because workers hold only the detached flat
-arrays — reference-engine solvers fall back to shipping the dict graph
-per task.
+owns the pool's lifecycle and is the only place a solve's stage
+strategy is picked (``ExecutionContext(executor=...)`` pins one).  The
+modes compose with everything else (engines, warm starts); residency
+requires ``engine="compiled"`` because workers hold only the detached
+flat arrays — reference-engine solvers fall back to shipping the dict
+graph per task.
 
 Fault tolerance
 ---------------
@@ -108,13 +107,7 @@ down the process — through one recovery path for both modes:
 """
 
 from repro.parallel.faults import NEXT_RPC, ArrivalScript, FaultPlan
-from repro.parallel.pool import (
-    ParallelSolver,
-    ResidentPool,
-    parallel_solve,
-    split_budget,
-    worker_payload_bytes,
-)
+from repro.parallel.pool import ResidentPool, split_budget, worker_payload_bytes
 from repro.parallel.residency import (
     DEFAULT_MAX_RETRIES,
     DEFAULT_RESIDENT_GRAPHS,
@@ -133,13 +126,11 @@ __all__ = [
     "DEFAULT_RESIDENT_GRAPHS",
     "FaultPlan",
     "NEXT_RPC",
-    "ParallelSolver",
     "ResidencyLedger",
     "ResidentGraphStore",
     "ResidentPool",
     "ShardedStageExecutor",
     "apply_graph_patch",
-    "parallel_solve",
     "plan_graph_message",
     "record_recovery",
     "record_shipping",

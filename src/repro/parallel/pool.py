@@ -4,25 +4,17 @@ dispatch shapes.
 CBAS spends its budget on sample draws, and the parallel modes run those
 draws in worker processes (CPython threads cannot exploit the paper's
 OpenMP parallelism — the GIL).  One :class:`ResidentPool` runs them in
-two shapes on the same W processes:
+two shapes on the same W processes, one per request shape:
 
-* **chunks** — whole solves inside one worker.  :meth:`ResidentPool.ship`
+* **chunks** — a batch of whole solves, each running serially at full
+  statistical strength inside one worker.  :meth:`ResidentPool.ship`
   and :meth:`ResidentPool.collect` carry :meth:`~repro.runtime.context.
-  ExecutionContext.solve_many`'s multiplexed requests and the best-of
-  budget slices of :func:`parallel_solve` / :class:`ParallelSolver`.
-* **stage shards** — one solve's per-stage draws split across the
+  ExecutionContext.solve_many`'s multiplexed requests.
+* **stage shards** — one large solve's per-stage draws split across the
   workers and merged at stage boundaries, the paper's Fig. 5(d) loop:
   :meth:`ResidentPool.ensure_resident`, :meth:`ResidentPool.start_solve`
   and :meth:`ResidentPool.run_stage`, driven by :class:`~repro.parallel.
   stage_pool.ShardedStageExecutor`.
-
-The statistical fine print of the best-of split: each worker re-derives
-its own OCBA allocation — and, for CBAS-ND, refits its own cross-entropy
-vectors — from only its ``T/W`` slice of the evidence.  That weakens the
-CE fit relative to one solve with the full budget, and it cannot
-accelerate a *single* large solve; stage shards exist for that.  Chunks
-remain the right tool for portfolio-style throughput and for
-multiplexing many independent requests.
 
 Every worker runs one loop (:func:`_solve_worker_main`) against one
 :class:`~repro.parallel.residency.ResidentGraphStore`, and the parent
@@ -30,10 +22,10 @@ mirrors each worker's cache in one :class:`~repro.parallel.residency.
 ResidencyLedger`, so a session pickles each frozen graph **at most once
 per (graph, worker) pair** whichever shape uses it — every later chunk,
 stage, or re-plan on that graph ships only the O(1) :meth:`~repro.core.
-problem.WASOProblem.payload_spec` plus seeds and budgets.  Only solvers
-explicitly configured with ``engine="reference"`` (or without an engine
-knob at all) pickle the full dict problem per request — the dict path
-has no resident representation.
+problem.WASOProblem.payload_spec` plus seeds and budgets.  Only requests
+explicitly configured with ``engine="reference"`` (or for solvers
+without an engine knob at all) pickle the full dict problem per
+request — the dict path has no resident representation.
 """
 
 from __future__ import annotations
@@ -46,8 +38,6 @@ import traceback
 from collections import Counter, deque
 from typing import Optional
 
-from repro.algorithms.base import RngLike, SolveResult, Solver, SolveStats, coerce_rng
-from repro.algorithms.cbas_nd import CBASND
 from repro.algorithms.sampling import (
     ExpansionSampler,
     seed_for_start,
@@ -69,17 +59,9 @@ from repro.parallel.residency import (
     ResidentGraphStore,
     apply_graph_patch,
     plan_graph_message,
-    record_recovery,
-    record_shipping,
 )
 
-__all__ = [
-    "ParallelSolver",
-    "ResidentPool",
-    "parallel_solve",
-    "split_budget",
-    "worker_payload_bytes",
-]
+__all__ = ["ResidentPool", "split_budget", "worker_payload_bytes"]
 
 
 def split_budget(total_budget: int, workers: int) -> list[int]:
@@ -140,11 +122,9 @@ def _run_solve_entry(store: ResidentGraphStore, entry: dict):
         if isinstance(problem, dict):
             compiled = store.get(problem["token"])
             problem = problem_from_payload_spec(compiled, problem)
-        solver = entry.get("solver_obj")
-        if solver is None:
-            from repro.algorithms.registry import make_solver
+        from repro.algorithms.registry import make_solver
 
-            solver = make_solver(entry["solver"], **entry["kwargs"])
+        solver = make_solver(entry["solver"], **entry["kwargs"])
         result = solver.solve(problem, rng=entry["seed"])
         return (
             "ok",
@@ -489,7 +469,7 @@ class ResidentPool:
         """Send one chunk of whole-solve entries to ``worker``.
 
         ``entries`` is a list of entry dicts (``index`` / ``problem`` /
-        ``solver``+``kwargs`` or ``solver_obj`` / ``seed``, plus an
+        ``solver`` registry name / ``kwargs`` / ``seed``, plus an
         optional ``deadline`` — an absolute ``time.monotonic()``
         instant); an entry whose ``problem`` is a payload-spec dict
         references ``graphs[token]`` — the detached compiled arrays —
@@ -947,188 +927,3 @@ class ResidentPool:
 
 # perfbench/tracing.py looks up ship/collect under this name.
 ResidentSolvePool = ResidentPool
-
-
-# ----------------------------------------------------------------------
-# Best-of budget split
-# ----------------------------------------------------------------------
-def parallel_solve(
-    problem: WASOProblem,
-    solver_factory,
-    total_budget: int,
-    workers: int,
-    rng: RngLike = None,
-    pool: "Optional[ResidentPool]" = None,
-) -> SolveResult:
-    """Split ``total_budget`` across ``workers`` processes and merge.
-
-    ``solver_factory(budget)`` must build a solver configured with the
-    given per-worker budget.  ``workers == 1`` runs inline (no process
-    overhead), so speedup measurements have an honest baseline.
-
-    ``pool`` reuses a caller-owned :class:`ResidentPool` (it must offer
-    at least ``workers`` processes and is *not* shut down here) so a
-    serving session — or a sweep over worker counts — ships each graph
-    once per worker instead of once per call; by default a fresh pool is
-    created and torn down per call.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-    if total_budget < workers:
-        raise ValueError(
-            f"budget {total_budget} cannot be split over {workers} workers"
-        )
-    generator = coerce_rng(rng)
-    seeds = [generator.randrange(2**31) for _ in range(workers)]
-
-    if workers == 1:
-        return solver_factory(total_budget).solve(problem, rng=seeds[0])
-
-    shares = split_budget(total_budget, workers)
-    solvers = [solver_factory(share) for share in shares]
-    # Freeze the compiled index once before building payloads: both
-    # flavours below reuse it instead of re-freezing per process.
-    problem.compiled()
-    compiled_only = all(
-        getattr(s, "engine", None) == "compiled" for s in solvers
-    )
-
-    if compiled_only:
-        # Compiled-only workers never touch the dict graph: install the
-        # detached flat arrays once per (graph, worker) and ship only
-        # the O(1) problem spec afterwards.
-        spec = problem.payload_spec()
-        graphs = {spec["token"]: problem.compiled().detach()}
-        payloads = [spec] * workers
-    else:
-        # Reference-engine workers need the dict graph; the frozen index
-        # cache rides along so they still skip the re-freeze.  No
-        # resident representation exists for the dict path, so the full
-        # problem ships per task.
-        graphs = {}
-        payloads = [problem] * workers
-
-    owned = pool is None
-    if owned:
-        pool = ResidentPool(workers)
-    elif pool.workers < workers:
-        raise ValueError(
-            f"pool offers {pool.workers} workers, {workers} requested"
-        )
-    try:
-        before = pool.counters()
-        for index, (payload, solver, seed) in enumerate(
-            zip(payloads, solvers, seeds)
-        ):
-            entry = {
-                "index": index,
-                "problem": payload,
-                "solver_obj": solver,
-                "seed": seed,
-            }
-            pool.ship(index, [entry], graphs)
-        replies = pool.collect()
-        window = pool.counters() - before
-    finally:
-        if owned:
-            pool.close()
-
-    outcomes: "list" = [None] * workers
-    failures = []
-    for chunk in replies:
-        for outcome in chunk:
-            if outcome[0] == "error":
-                failures.append(outcome[2])
-            else:
-                _, index, members, value, drawn, failed, _, _ = outcome
-                outcomes[index] = (members, value, drawn, failed)
-    if failures:
-        raise RuntimeError(
-            "parallel_solve worker failed:\n" + "\n".join(failures)
-        )
-    result = _merge_best_of(outcomes, workers, shares, compiled_only)
-    record_shipping(
-        result.stats.extra,
-        shipped=window["installs"] > 0,
-        payload_bytes=window["payload_bytes"],
-        installs=window["installs"],
-        patch_bytes=window["patch_bytes"],
-    )
-    record_recovery(
-        result.stats.extra,
-        restarts=window["worker_restarts"],
-        retries=window["retries"],
-    )
-    return result
-
-
-def _merge_best_of(outcomes, workers, shares, compiled_only) -> SolveResult:
-    """Fold per-worker best-of outcomes into one :class:`SolveResult`."""
-    best_members, best_value = None, -float("inf")
-    stats = SolveStats()
-    for members, value, drawn, failed in outcomes:
-        stats.samples_drawn += drawn
-        stats.failed_samples += failed
-        if value > best_value:
-            best_members, best_value = members, value
-    stats.extra["workers"] = workers
-    stats.extra["worker_budgets"] = shares
-    stats.extra["payload"] = (
-        "compiled-arrays" if compiled_only else "dict-graph"
-    )
-
-    from repro.core.solution import GroupSolution
-
-    solution = GroupSolution(members=best_members, willingness=best_value)
-    return SolveResult(solution=solution, stats=stats)
-
-
-class ParallelSolver(Solver):
-    """Solver wrapper that distributes a CBAS-ND budget over processes.
-
-    Parameters
-    ----------
-    budget:
-        Total computational budget ``T``.
-    workers:
-        Number of processes (1 = inline execution).
-    pool:
-        Optional caller-owned :class:`ResidentPool` reused across
-        solves — repeated solves on one graph then ship its arrays only
-        once per worker (see :func:`parallel_solve`); the solver never
-        shuts it down.
-    solver_kwargs:
-        Extra arguments for each worker's :class:`CBASND` (``m``,
-        ``stages``, ``rho``, ...).
-    """
-
-    name = "cbas-nd-parallel"
-
-    def __init__(
-        self,
-        budget: int = 400,
-        workers: int = 2,
-        pool: "Optional[ResidentPool]" = None,
-        **solver_kwargs,
-    ) -> None:
-        if budget < 1:
-            raise ValueError(f"budget must be positive, got {budget}")
-        if workers < 1:
-            raise ValueError(f"workers must be positive, got {workers}")
-        self.budget = budget
-        self.workers = workers
-        self.pool = pool
-        self.solver_kwargs = solver_kwargs
-
-    def _solve(self, problem: WASOProblem, rng: random.Random) -> SolveResult:
-        def factory(share: int) -> CBASND:
-            return CBASND(budget=share, **self.solver_kwargs)
-
-        return parallel_solve(
-            problem,
-            factory,
-            total_budget=self.budget,
-            workers=self.workers,
-            rng=rng,
-            pool=self.pool,
-        )

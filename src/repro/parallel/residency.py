@@ -38,9 +38,9 @@ The protocol has three parts:
   "would shipping be needed?" locally.
 * **uniform accounting** — :func:`record_shipping` writes the same
   ``SolveStats.extra`` keys (``graph_shipped``, ``graph_installs``,
-  ``batch_payload_bytes``) for every consumer, so stage-sharded solves,
-  multiplexed ``solve_many`` chunks, and best-of budget splits are
-  comparable in one overhead curve (the benches persist these series).
+  ``batch_payload_bytes``) for both consumers, so stage-sharded solves
+  and multiplexed ``solve_many`` chunks are comparable in one overhead
+  curve (the benches persist these series).
 """
 
 from __future__ import annotations
@@ -316,10 +316,10 @@ def record_shipping(
 ) -> None:
     """Uniform ``SolveStats.extra`` accounting for residency shipping.
 
-    Every consumer of the resident pool — the stage-sharded executor, the
-    ``solve_many`` multiplexer, and the best-of budget split — records
-    its shipping through this one function so the keys (and therefore
-    the bench overhead curves) stay comparable:
+    Both consumers of the resident pool — the stage-sharded executor and
+    the ``solve_many`` multiplexer — record their shipping through this
+    one function so the keys (and therefore the bench overhead curves)
+    stay comparable:
 
     * ``graph_shipped`` — whether this solve / batch installed resident
       graph arrays into any worker (``False`` on every warm follow-up,
@@ -358,8 +358,8 @@ def record_recovery(
 
     The self-healing counterpart of :func:`record_shipping`: every
     consumer (the ``solve_many`` multiplexer, the stage-sharded
-    executor, the best-of split) reports what its pool had to survive
-    through the same keys —
+    executor) reports what its pool had to survive through the same
+    keys —
 
     * ``worker_restarts`` — worker processes respawned during the solve
       / batch;

@@ -4,9 +4,8 @@ This is the process-based equivalent of the paper's OpenMP loop
 (Fig. 5(d)): the sample draws *inside* each CBAS / CBAS-ND stage are
 sharded across workers, and the workers synchronize only at stage
 boundaries — every stage's cross-entropy refit sees the **full** merged
-elite evidence, unlike :class:`~repro.parallel.pool.ParallelSolver`,
-which runs independent whole solves on budget slices and therefore
-refits each worker's CE vector from 1/W of the evidence.
+elite evidence.  It is the one parallel path for a single large solve;
+batches of many solves go to the same pool as whole-solve chunks.
 
 Architecture
 ------------
@@ -89,31 +88,16 @@ class ShardedStageExecutor(StageExecutor):
     Parameters
     ----------
     pool:
-        A :class:`~repro.parallel.pool.ResidentPool` to run on (shared,
-        not closed by this executor) — or ``None`` to create an owned
-        pool of ``workers`` processes, which :meth:`close` then tears
-        down.
-    workers:
-        Worker count for the owned pool (ignored when ``pool`` is given).
+        The :class:`~repro.parallel.pool.ResidentPool` to run on — the
+        owning :class:`~repro.runtime.context.ExecutionContext`'s pool
+        (never closed by this executor).
     trace:
         Record a per-stage shard/merge trace on :attr:`trace` — used by
         the shard-merge equivalence tests to replay the exact per-shard
         RNG streams serially; off by default (it retains kept samples).
     """
 
-    def __init__(
-        self,
-        pool: Optional[ResidentPool] = None,
-        workers: Optional[int] = None,
-        trace: bool = False,
-    ) -> None:
-        if pool is None:
-            if workers is None:
-                raise ValueError("need either a pool or a worker count")
-            pool = ResidentPool(workers)
-            self._owns_pool = True
-        else:
-            self._owns_pool = False
+    def __init__(self, pool: ResidentPool, trace: bool = False) -> None:
         self.pool = pool
         self.trace: "list | None" = [] if trace else None
         self._solve_id: Optional[int] = None
@@ -405,15 +389,3 @@ class ShardedStageExecutor(StageExecutor):
             willingness=willingness,
             indices=tuple(indices),
         )
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Close the pool if this executor owns it."""
-        if self._owns_pool:
-            self.pool.close()
-
-    def __enter__(self) -> "ShardedStageExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

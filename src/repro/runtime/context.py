@@ -2,11 +2,11 @@
 request and a :class:`~repro.core.solution.GroupSolution`.
 
 Before this layer existed the execution machinery was scattered: engine
-selection lived on every solver constructor, the worker pools behind
-:class:`~repro.parallel.pool.ParallelSolver` and the stage executor,
-warm states on the :class:`~repro.online.replanning.OnlinePlanner`, and
-the choice between the parallel modes in a rule-of-thumb comment.
-:class:`ExecutionContext` consolidates all of it:
+selection lived on every solver constructor, worker pools behind the
+solvers, warm states on the :class:`~repro.online.replanning.
+OnlinePlanner`, and the choice between the parallel modes in a
+rule-of-thumb comment.  :class:`ExecutionContext` consolidates all of
+it:
 
 * **engine selection** — ``engine="compiled"|"reference"``, inherited by
   every solver the context builds;
@@ -20,7 +20,11 @@ the choice between the parallel modes in a rule-of-thumb comment.
   :meth:`close` or ``with``-exit;
 * **mode routing** — ``mode="auto"`` resolves per request through the
   cost model in :mod:`repro.runtime.router`; ``"serial"`` / ``"solve"``
-  / ``"stage"`` force a mode;
+  / ``"stage"`` force a mode.  There is one parallel path per request
+  shape: ``"solve"`` sends a batch's requests to the pool as whole-solve
+  chunks (a single solve has nothing to multiplex and runs serially),
+  and ``"stage"`` shards one large solve's stages.  The context is the
+  only place a solve's stage strategy is picked;
 * **warm-state storage** — :class:`~repro.algorithms.cbas.CBASWarmState`
   snapshots keyed by caller token, so online re-planning and repeated
   requests share one place (and one resident pool) for cross-solve
@@ -42,7 +46,6 @@ time (concurrency comes from the worker processes underneath).
 
 from __future__ import annotations
 
-import inspect
 import os
 import time
 import traceback
@@ -50,6 +53,7 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Optional
 
 from repro.algorithms.base import (
+    ContextSolver,
     RngLike,
     Solver,
     SolveResult,
@@ -71,18 +75,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ExecutionContext"]
 
 
-def _factory_params(name: str):
-    """Constructor parameters of a registry solver (VAR_KEYWORD aware)."""
-    from repro.algorithms.registry import solver_factory
-
-    signature = inspect.signature(solver_factory(name))
-    params = signature.parameters
-    open_kwargs = any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    )
-    return params, open_kwargs
-
-
 class ExecutionContext:
     """Owns engine, pool, routing, and warm state for a serving session.
 
@@ -99,9 +91,10 @@ class ExecutionContext:
         it as given (oversubscription is the caller's choice).
     executor:
         Explicit :class:`~repro.algorithms.stage_exec.StageExecutor`
-        override — every staged solve runs on it, bypassing the router.
-        This is what the solvers' deprecated ``executor=`` kwarg
-        delegates to.
+        override — every staged solve through this context runs on it,
+        bypassing the router.  This is the one way to pin a stage
+        strategy (e.g. a :class:`~repro.parallel.stage_pool.
+        ShardedStageExecutor` over a caller's pool).
     pool:
         A caller-owned :class:`~repro.parallel.pool.ResidentPool` to run
         on instead of lazily creating an owned one; a shared pool is
@@ -242,12 +235,11 @@ class ExecutionContext:
         """Stage-execution strategy for one solve.
 
         Called by the staged solvers (:class:`~repro.algorithms.cbas.
-        CBAS` and subclasses) when no explicit executor is installed.
-        Routes to the stage-sharded strategy only when the resolved mode
-        is ``"stage"`` and the solver can actually shard (compiled
-        engine, shard-protocol hooks); everything else — including
-        ``"solve"`` mode, which splits *above* the stage loop — runs the
-        serial in-process strategy.
+        CBAS` and subclasses) once per solve.  A pinned ``executor``
+        wins; otherwise routes to the stage-sharded strategy only when
+        the resolved mode is ``"stage"`` and the solver can actually
+        shard (compiled or vector engine, shard-protocol hooks);
+        everything else runs the in-process strategy.
         """
         if self._executor_override is not None:
             return self._executor_override
@@ -297,48 +289,38 @@ class ExecutionContext:
         the context's engine and routing); solvers without execution
         state (exact / IP) are built as-is.
         """
-        from repro.algorithms.registry import make_solver
+        from repro.algorithms.registry import solver_factory
 
-        params, open_kwargs = _factory_params(name)
-        if "context" in params or open_kwargs:
+        factory = solver_factory(name)
+        if issubclass(factory, ContextSolver):
             kwargs.setdefault("context", self)
-        return make_solver(name, **kwargs)
+        return factory(**kwargs)
 
     def _stage_capable(self, name: str, kwargs: dict) -> bool:
         """Can a ``name`` solver actually run stage-sharded?
 
-        Stage mode needs the compiled engine plus the shard-protocol
-        hooks; a request routed "stage" without them would degrade to a
-        sequential inline solve, so :meth:`solve_many` demotes it to the
-        multiplexer instead.
+        Stage mode needs the compiled or vector engine plus the
+        shard-protocol hooks; a request routed "stage" without them
+        would degrade to a sequential inline solve, so :meth:`solve_many`
+        demotes it to the multiplexer instead.
         """
         from repro.algorithms.registry import solver_factory
 
-        params, open_kwargs = _factory_params(name)
-        if "engine" not in params and not open_kwargs:
+        if not hasattr(solver_factory(name), "_shard_mode"):
             return False
-        if kwargs.get("engine", self.engine) not in ("compiled", "vector"):
-            return False
-        factory = solver_factory(name)
-        if isinstance(factory, type):
-            return hasattr(factory, "_shard_mode")
-        # Function factories (e.g. cbas-nd-g) wrap a solver class; probe
-        # with a throwaway instance (constructors are cheap).
-        try:
-            return hasattr(factory(**kwargs), "_shard_mode")
-        except Exception:
-            return False
+        return kwargs.get("engine", self.engine) in ("compiled", "vector")
 
     def _dispatch_engine(self, name: str, kwargs: dict) -> Optional[str]:
         """Engine a worker-side build of ``name`` would run, or ``None``.
 
         Workers build solvers from ``(name, kwargs)`` without a context,
         so the context's engine must be made explicit in the shipped
-        kwargs for engine-aware solvers; solvers with no engine knob
-        (exact / IP) return ``None`` and ship the full dict graph.
+        kwargs for context solvers; solvers with no engine knob (exact /
+        IP) return ``None`` and ship the full dict graph.
         """
-        params, open_kwargs = _factory_params(name)
-        if "engine" not in params and not open_kwargs:
+        from repro.algorithms.registry import solver_factory
+
+        if not issubclass(solver_factory(name), ContextSolver):
             return None
         kwargs.setdefault("engine", self.engine)
         return kwargs["engine"]
@@ -372,42 +354,24 @@ class ExecutionContext:
 
         ``solver`` is a registry name (built through the context) or a
         pre-configured :class:`~repro.algorithms.base.Solver` instance.
-        ``mode`` overrides the context's routing for this call.
+        ``mode`` overrides the context's routing for this call.  A single
+        solve routed ``"solve"`` runs serially in this process: that mode
+        multiplexes a :meth:`solve_many` batch onto the pool, and one
+        solve has nothing to multiplex.
         """
         if isinstance(solver, str):
-            name: Optional[str] = solver
-            instance: Optional[Solver] = None
-            # An explicit budget kwarg lets solve-level routing skip
-            # building a throwaway instance just to read its default.
-            budget = int(solver_kwargs.get("budget") or 0)
-            if budget <= 0:
-                instance = self.make_solver(name, **solver_kwargs)
-                budget = getattr(instance, "budget", 0) or 0
+            instance = self.make_solver(solver, **solver_kwargs)
         else:
-            name = None
             instance = solver
             if solver_kwargs:
                 raise ValueError(
                     "solver kwargs only apply when the solver is built by "
                     "name; configure the instance instead"
                 )
-            budget = getattr(instance, "budget", 0) or 0
+        budget = getattr(instance, "budget", 0) or 0
         resolved = self.resolve_mode(problem, budget, mode=mode)
         if resolved == "solve":
-            if name is not None and budget > 0:
-                return self._solve_level(
-                    problem, name, solver_kwargs, budget, rng
-                )
-            if mode == "solve" and name is None:
-                raise ValueError(
-                    "mode='solve' splits the budget across fresh solver "
-                    "instances; pass the solver by registry name"
-                )
-            # Budget-less solvers / pre-built instances under a
-            # solve-mode context default: nothing to split, run serial.
             resolved = "serial"
-        if instance is None:
-            instance = self.make_solver(name, **solver_kwargs)
         with self._forced_mode(resolved):
             foreign = (
                 getattr(instance, "context", None) is not None
@@ -424,42 +388,6 @@ class ExecutionContext:
                 return instance.solve(problem, rng=rng)
             finally:
                 instance.context = previous
-
-    def _solve_level(
-        self,
-        problem: WASOProblem,
-        name: str,
-        solver_kwargs: dict,
-        budget: int,
-        rng: RngLike,
-    ) -> SolveResult:
-        """Best-of over budget slices on the pool."""
-        from repro.parallel.pool import parallel_solve
-
-        kwargs = dict(solver_kwargs)
-        kwargs.pop("budget", None)  # replaced by each worker's share
-        self._dispatch_engine(name, kwargs)
-        workers = max(1, min(self.effective_workers, budget))
-        pool = None
-        if workers > 1:
-            pool = self.pool()
-            # A caller-shared pool may be smaller than the context's
-            # worker setting; never dispatch past its processes.
-            workers = min(workers, pool.workers)
-
-        def factory(share: int) -> Solver:
-            from repro.algorithms.registry import make_solver
-
-            return make_solver(name, budget=share, **kwargs)
-
-        return parallel_solve(
-            problem,
-            factory,
-            total_budget=budget,
-            workers=workers,
-            rng=rng,
-            pool=pool if workers > 1 else None,
-        )
 
     # ------------------------------------------------------------------
     def solve_many(
@@ -529,7 +457,11 @@ class ExecutionContext:
                 mode=mode,
                 engine=request.solver_kwargs.get("engine"),
             )
-            if route == "stage" and not self._stage_capable(
+            if shared_rng:
+                # Stateful generators must consume their streams in
+                # request order: the whole batch runs inline.
+                route = "serial"
+            elif route == "stage" and not self._stage_capable(
                 request.solver, request.solver_kwargs
             ):
                 # Large but unshardable (reference engine, no shard
@@ -538,19 +470,6 @@ class ExecutionContext:
             routed.append(route)
         failures: dict[int, str] = {}
         results: list[Optional[SolveResult]] = [None] * batch
-        if shared_rng or all(route == "serial" for route in routed):
-            # Stateful generators must consume their streams in request
-            # order — and a fully serial batch has nothing to dispatch.
-            for index, request in enumerate(requests):
-                expired = self._expired_failure(request, deadlines[index])
-                if expired is not None:
-                    failures[index] = expired
-                    continue
-                try:
-                    results[index] = self._solve_request(request)
-                except Exception:
-                    failures[index] = traceback.format_exc()
-            return self._finish_batch(results, failures)
 
         # Distinct graphs are frozen and detached at most once (lazily —
         # an all-stage or all-reference batch never pays the detach);
@@ -610,12 +529,12 @@ class ExecutionContext:
             for worker in range(workers):
                 pool.ship(worker, entries[worker::workers], graphs)
 
-        # Large solves are stage-sharded — and serial-routed ones run
-        # inline — while the chunks are in flight; the pool settles each
-        # reply on its own record, so stage waits never consume a
-        # chunk's reply.  A failure here must not abandon the in-flight
-        # chunks (they are collected below regardless).
-        for index in stage_indices:
+        # Large solves are stage-sharded, then serial-routed ones run
+        # inline (in request order), while the chunks are in flight; the
+        # pool settles each reply on its own record, so stage waits never
+        # consume a chunk's reply.  A failure here must not abandon the
+        # in-flight chunks (they are collected below regardless).
+        for index in stage_indices + inline_indices:
             expired = self._expired_failure(requests[index], deadlines[index])
             if expired is not None:
                 failures[index] = expired
@@ -623,18 +542,8 @@ class ExecutionContext:
                 continue
             try:
                 results[index] = self._solve_request(
-                    requests[index], mode="stage"
+                    requests[index], routed[index]
                 )
-            except Exception:
-                failures[index] = traceback.format_exc()
-        for index in inline_indices:
-            expired = self._expired_failure(requests[index], deadlines[index])
-            if expired is not None:
-                failures[index] = expired
-                predispatch_missed += 1
-                continue
-            try:
-                results[index] = self._solve_request(requests[index])
             except Exception:
                 failures[index] = traceback.format_exc()
 
@@ -710,11 +619,10 @@ class ExecutionContext:
     ) -> "Optional[RequestFailure]":
         """A ``kind="deadline"`` failure when ``deadline`` already passed.
 
-        The in-parent paths (serial batches, stage-routed and
-        inline-routed requests) cannot cancel a solve mid-flight, so
-        their deadline enforcement happens here, at the dispatch
-        boundary — matching the pool, which likewise never abandons a
-        reply that already arrived.
+        The in-parent loop (stage-routed and inline-routed requests)
+        cannot cancel a solve mid-flight, so its deadline enforcement
+        happens here, at the dispatch boundary — matching the pool,
+        which likewise never abandons a reply that already arrived.
         """
         if deadline is None or time.monotonic() < deadline:
             return None
@@ -749,13 +657,13 @@ class ExecutionContext:
         )
 
     def _solve_request(
-        self, request: SolveRequest, mode: Optional[str] = None
+        self, request: SolveRequest, mode: str = "serial"
     ) -> SolveResult:
         return self.solve(
             request.problem,
             solver=request.solver,
             rng=request.rng,
-            mode=mode or "serial",
+            mode=mode,
             **request.solver_kwargs,
         )
 

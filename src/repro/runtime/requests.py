@@ -36,27 +36,21 @@ _PROBLEM_KEYS = (
 )
 
 #: Solver-constructor parameters a spec must *not* set: they carry live
-#: execution state (the pool, strategies) that a JSON request cannot name.
-_EXECUTION_ONLY_PARAMS = frozenset({"context", "executor"})
+#: execution state (the context and its pool) that a JSON request cannot
+#: name.
+_EXECUTION_ONLY_PARAMS = frozenset({"context"})
 
 
-def valid_spec_keys(solver: str) -> "frozenset[str] | None":
+def valid_spec_keys(solver: str) -> "frozenset[str]":
     """Spec keys :func:`request_from_spec` accepts for ``solver``.
 
-    The problem keys plus the solver factory's keyword parameters
-    (minus the execution-state ones a serialized request cannot carry).
-    Returns ``None`` for open ``**kwargs`` factories (e.g. the
-    ``cbas-nd-g`` wrapper), whose keys cannot be enumerated from the
-    signature — they validate at construction time instead.  Raises
-    ``ValueError`` for an unknown solver name.
+    The solver class's constructor parameters, minus the execution-state
+    ones a serialized request cannot carry.  Raises ``ValueError`` for
+    an unknown solver name.
     """
     from repro.algorithms.registry import solver_factory
 
     params = inspect.signature(solver_factory(solver)).parameters
-    if any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    ):
-        return None
     return frozenset(params) - _EXECUTION_ONLY_PARAMS
 
 
@@ -154,14 +148,13 @@ def request_from_spec(graph: SocialGraph, spec: dict) -> SolveRequest:
     }
     solver = spec.get("solver", "cbas-nd")
     accepted = valid_spec_keys(solver)  # unknown solver raises here
-    if accepted is not None:
-        unknown = sorted(set(solver_kwargs) - accepted)
-        if unknown:
-            valid = sorted(set(_PROBLEM_KEYS) | accepted)
-            raise ValueError(
-                f"unknown request key(s) {', '.join(map(repr, unknown))} "
-                f"for solver {solver!r}; valid keys: {valid}"
-            )
+    unknown = sorted(set(solver_kwargs) - accepted)
+    if unknown:
+        valid = sorted(set(_PROBLEM_KEYS) | accepted)
+        raise ValueError(
+            f"unknown request key(s) {', '.join(map(repr, unknown))} "
+            f"for solver {solver!r}; valid keys: {valid}"
+        )
     deadline_s = spec.get("deadline_s")
     return SolveRequest(
         problem=problem,

@@ -18,16 +18,15 @@ with fixed overheads:
   CE patches, collect summaries) plus a one-off O(V+E) payload install,
   so it only wins when the per-stage draw work dwarfs the round trips —
   a *single large* solve;
-* **solve mode** historically paid one O(V+E) graph pickle per worker
-  chunk *per batch*; since the pool became resident
-  (:class:`~repro.parallel.pool.ResidentPool`), that cost is paid
-  at most once per (graph, worker) *session*, and what remains per
-  request is a fixed dispatch overhead — an O(1) payload-spec pickle
-  out, one result pickle back, one solver construction in the worker.
-  Each worker still refits its CE vectors from only its own requests'
-  evidence, which is exactly right for *many independent* requests:
-  every request runs serially inside one worker at full statistical
-  strength;
+* **solve mode** multiplexes a batch's whole requests onto the pool as
+  chunks, so it only applies to ``batch_size > 1`` (a single solve
+  routed there runs serially).  Since the pool became resident
+  (:class:`~repro.parallel.pool.ResidentPool`), the O(V+E) graph
+  pickle is paid at most once per (graph, worker) *session*, and what
+  remains per request is a fixed dispatch overhead — an O(1)
+  payload-spec pickle out, one result pickle back, one solver
+  construction in the worker.  Every request runs serially inside one
+  worker at full statistical strength;
 * **serial** pays nothing, and on one core is also the fastest option.
 
 ``STAGE_WORK_THRESHOLD`` is calibrated from the repo's own benches: the
@@ -165,9 +164,8 @@ def choose_mode(
     if engine == "vector":
         work //= VECTOR_SPEEDUP
     if budget >= MIN_STAGE_BUDGET and work >= STAGE_WORK_THRESHOLD:
-        # A single large solve: only stage-sharding can accelerate it
-        # (splitting its budget would weaken the CE fit instead), and
-        # that holds whether it arrives alone or inside a batch.
+        # A single large solve: only stage-sharding can accelerate it,
+        # and that holds whether it arrives alone or inside a batch.
         return "stage"
     if batch_size > 1 and work >= MIN_SOLVE_WORK:
         # Many small solves: multiplex whole requests onto the resident

@@ -486,7 +486,7 @@ class ServingDaemon:
                 accepted = valid_spec_keys(spec.get("solver", "cbas-nd"))
             except ValueError as error:  # unknown solver name
                 raise _InvalidRequest(str(error)) from None
-            if accepted is not None and "budget" not in accepted:
+            if "budget" not in accepted:
                 raise _InvalidRequest(
                     f"solver {spec.get('solver')!r} takes no budget; "
                     "slo_s needs a budgeted solver"

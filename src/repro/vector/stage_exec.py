@@ -21,7 +21,7 @@ vector runs consume identical randomness.
 
 from __future__ import annotations
 
-from repro.algorithms.sampling import Sample, seed_for_start
+from repro.algorithms.sampling import seed_for_start
 from repro.algorithms.stage_exec import (
     MAX_CONSECUTIVE_FAILURES,
     SerialStageExecutor,
@@ -52,7 +52,6 @@ class VectorSerialStageExecutor(SerialStageExecutor):
         sampler = ctx.sampler
         node_stats = ctx.node_stats
         failures = ctx.failures
-        stats = ctx.stats
         ordinals = sampler.vector_ordinals
 
         funded = [
@@ -85,28 +84,9 @@ class VectorSerialStageExecutor(SerialStageExecutor):
             max_failures=MAX_CONSECUTIVE_FAILURES,
         )
 
-        best_sample = ctx.best_sample
         for index, batch in zip(funded, batches):
             # Ordinals advance by the planned share, not the realized
             # batch length — positional randomness must not depend on
             # where a failure cap happened to truncate.
             ordinals[index] += shares[index]
-            stage_samples: list[Sample] = []
-            for sample in batch:
-                stats.samples_drawn += 1
-                if sample is None:
-                    stats.failed_samples += 1
-                    failures[index] += 1
-                    if failures[index] >= MAX_CONSECUTIVE_FAILURES:
-                        node_stats[index].pruned = True
-                    continue
-                failures[index] = 0
-                node_stats[index].record(sample.willingness)
-                stage_samples.append(sample)
-                if (
-                    best_sample is None
-                    or sample.willingness > best_sample.willingness
-                ):
-                    best_sample = sample
-            solver._after_start_stage(index, stage_samples, stats)
-        ctx.best_sample = best_sample
+            self._record_batch(ctx, index, batch)

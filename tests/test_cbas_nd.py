@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algorithms.cbas import CBAS
-from repro.algorithms.cbas_nd import CBASND, cbas_nd_g
+from repro.algorithms.cbas_nd import CBASND, CBASNDG
 from repro.core.problem import WASOProblem
 
 
@@ -19,7 +19,7 @@ class TestConstruction:
             CBASND(smoothing=1.1)
 
     def test_gaussian_variant_factory(self):
-        solver = cbas_nd_g(budget=50)
+        solver = CBASNDG(budget=50)
         assert solver.allocation == "gaussian"
         assert solver.name == "cbas-nd-g"
 
@@ -56,7 +56,7 @@ class TestSolve:
 
     def test_gaussian_allocation(self, small_facebook):
         problem = WASOProblem(graph=small_facebook, k=6)
-        result = cbas_nd_g(budget=100, m=10, stages=4).solve(problem, rng=3)
+        result = CBASNDG(budget=100, m=10, stages=4).solve(problem, rng=3)
         assert result.solution.is_feasible(problem)
 
     def test_backtracking_counts(self, small_facebook):

@@ -387,7 +387,8 @@ def _stage_solve(graph, pool, engine: str = "compiled") -> "tuple":
     problem = WASOProblem(graph=graph, k=5)
     executor = ShardedStageExecutor(pool=pool)
     solver = CBASND(
-        budget=120, m=6, stages=3, engine=engine, executor=executor
+        budget=120, m=6, stages=3, engine=engine,
+        context=ExecutionContext(executor=executor),
     )
     return solver.solve(problem, rng=4)
 

@@ -38,6 +38,7 @@ from repro.parallel.residency import (
 )
 from repro.parallel.pool import ResidentPool
 from repro.parallel.stage_pool import ShardedStageExecutor
+from repro.runtime import ExecutionContext
 
 
 @pytest.fixture
@@ -331,7 +332,7 @@ class TestEngineEquivalence:
                 executor = ShardedStageExecutor(pool=pool)
                 solver = CBASND(
                     budget=120, m=6, stages=3, engine=engine,
-                    executor=executor,
+                    context=ExecutionContext(executor=executor),
                 )
                 results.append(
                     solver.solve(WASOProblem(graph=graph, k=5), rng=13)
@@ -419,7 +420,10 @@ class TestResidencyPatchProtocol:
 class TestWarmPoolPatching:
     def _solve(self, graph, pool, rng):
         executor = ShardedStageExecutor(pool=pool)
-        solver = CBASND(budget=120, m=6, stages=3, executor=executor)
+        solver = CBASND(
+            budget=120, m=6, stages=3,
+            context=ExecutionContext(executor=executor),
+        )
         return solver.solve(WASOProblem(graph=graph, k=5), rng=rng)
 
     def test_warm_workers_receive_patch_not_install(self, no_orphans):

@@ -6,13 +6,8 @@ import pytest
 
 from repro.algorithms.cbas_nd import CBASND
 from repro.core.problem import WASOProblem
-from repro.parallel import (
-    ParallelSolver,
-    ResidentPool,
-    parallel_solve,
-    split_budget,
-    worker_payload_bytes,
-)
+from repro.parallel import ResidentPool, split_budget, worker_payload_bytes
+from repro.runtime import ExecutionContext, SolveRequest
 
 
 class TestBudgetSplit:
@@ -33,70 +28,7 @@ class TestBudgetSplit:
 
 
 class TestParallelSolve:
-    def test_single_worker_inline(self, small_facebook):
-        problem = WASOProblem(graph=small_facebook, k=5)
-        result = parallel_solve(
-            problem,
-            lambda budget: CBASND(budget=budget, m=5, stages=3),
-            total_budget=60,
-            workers=1,
-            rng=4,
-        )
-        assert result.solution.is_feasible(problem)
-
-    def test_two_workers(self, small_facebook):
-        problem = WASOProblem(graph=small_facebook, k=5)
-        result = parallel_solve(
-            problem,
-            lambda budget: CBASND(budget=budget, m=5, stages=3),
-            total_budget=60,
-            workers=2,
-            rng=4,
-        )
-        assert result.solution.is_feasible(problem)
-        assert result.stats.extra["workers"] == 2
-        assert result.stats.samples_drawn > 0
-
-    def test_remainder_budget_not_dropped(self, small_facebook):
-        """total_budget % workers lands on the first workers."""
-        problem = WASOProblem(graph=small_facebook, k=5)
-        result = parallel_solve(
-            problem,
-            lambda budget: CBASND(budget=budget, m=5, stages=3),
-            total_budget=61,
-            workers=2,
-            rng=4,
-        )
-        assert result.stats.extra["worker_budgets"] == [31, 30]
-        assert sum(result.stats.extra["worker_budgets"]) == 61
-
-    def test_compiled_workers_get_slim_payload(self, small_facebook):
-        problem = WASOProblem(graph=small_facebook, k=5)
-        result = parallel_solve(
-            problem,
-            lambda budget: CBASND(budget=budget, m=5, stages=3),
-            total_budget=60,
-            workers=2,
-            rng=4,
-        )
-        assert result.stats.extra["payload"] == "compiled-arrays"
-        assert result.solution.is_feasible(problem)
-
-    def test_reference_workers_fall_back_to_dict_payload(
-        self, small_facebook
-    ):
-        problem = WASOProblem(graph=small_facebook, k=5)
-        result = parallel_solve(
-            problem,
-            lambda budget: CBASND(
-                budget=budget, m=5, stages=3, engine="reference"
-            ),
-            total_budget=60,
-            workers=2,
-            rng=4,
-        )
-        assert result.stats.extra["payload"] == "dict-graph"
-        assert result.solution.is_feasible(problem)
+    """``worker_payload_bytes``: the payload sizes the pool accounts for."""
 
     def test_slim_payload_smaller_than_dict_graph(self, small_facebook):
         problem = WASOProblem(graph=small_facebook, k=5)
@@ -123,59 +55,37 @@ class TestParallelSolve:
             == both["compiled_arrays_bytes"]
         )
 
-    def test_validation(self, small_facebook):
-        problem = WASOProblem(graph=small_facebook, k=5)
-        factory = lambda budget: CBASND(budget=budget)  # noqa: E731
-        with pytest.raises(ValueError):
-            parallel_solve(problem, factory, total_budget=10, workers=0)
-        with pytest.raises(ValueError):
-            parallel_solve(problem, factory, total_budget=1, workers=4)
-
 
 class TestResidentSolvePool:
-    def _factory(self, **kwargs):
-        merged = dict(m=5, stages=3)
+    def _solve_many(self, pool, problem, seeds, **kwargs):
+        """One ``solve_many(mode="solve")`` batch on ``pool``; with one
+        request per worker, every worker gets a chunk."""
+        merged = dict(budget=30, m=5, stages=3)
         merged.update(kwargs)
-        return lambda budget: CBASND(budget=budget, **merged)
+        requests = [
+            SolveRequest(problem, "cbas-nd", seed, dict(merged))
+            for seed in seeds
+        ]
+        with ExecutionContext(workers=pool.workers, pool=pool) as context:
+            return context.solve_many(requests, mode="solve")
 
     def test_graph_ships_once_per_worker_across_calls(self, small_facebook):
-        """The tentpole property: repeated best-of solves on one graph
-        install the detached arrays exactly once per worker."""
+        """The residency property: repeated batches on one graph install
+        the detached arrays exactly once per worker."""
         problem = WASOProblem(graph=small_facebook, k=5)
         with ResidentPool(2) as pool:
-            first = parallel_solve(
-                problem, self._factory(), total_budget=60, workers=2,
-                rng=4, pool=pool,
-            )
+            first = self._solve_many(pool, problem, (4, 5))[0]
             assert pool.installs == 2  # one per (graph, worker) pair
             assert first.stats.extra["graph_shipped"] is True
             assert first.stats.extra["graph_installs"] == 2
-            second = parallel_solve(
-                problem, self._factory(), total_budget=60, workers=2,
-                rng=5, pool=pool,
-            )
+            second = self._solve_many(pool, problem, (6, 7))[0]
             assert pool.installs == 2  # nothing re-shipped
             assert second.stats.extra["graph_shipped"] is False
             assert second.stats.extra["graph_installs"] == 0
-            # The warm call ships only specs + seeds + solver configs.
+            # The warm batch ships only specs + seeds + solver configs.
             slim = worker_payload_bytes(problem)["compiled_arrays_bytes"]
             assert second.stats.extra["batch_payload_bytes"] < slim
             assert first.stats.extra["batch_payload_bytes"] > slim
-
-    def test_owned_and_shared_pools_match(self, small_facebook):
-        """Bit-identity between a per-call owned pool and a shared one."""
-        problem = WASOProblem(graph=small_facebook, k=5)
-        owned = parallel_solve(
-            problem, self._factory(), total_budget=60, workers=2, rng=4
-        )
-        with ResidentPool(2) as pool:
-            resident = parallel_solve(
-                problem, self._factory(), total_budget=60, workers=2,
-                rng=4, pool=pool,
-            )
-        assert resident.members == owned.members
-        assert resident.willingness == owned.willingness
-        assert resident.stats.samples_drawn == owned.stats.samples_drawn
 
     def test_eviction_forces_reshipping(self, small_facebook):
         """A capacity-1 cache alternating two graphs re-ships on every
@@ -191,11 +101,10 @@ class TestResidentSolvePool:
                 (4, problem_b, 3),   # B evicts A
                 (6, problem_a, 4),   # A must be re-shipped
             ):
-                result = parallel_solve(
-                    problem, self._factory(), total_budget=40, workers=2,
-                    rng=seed, pool=pool,
-                )
-                assert result.solution.is_feasible(problem)
+                for result in self._solve_many(
+                    pool, problem, (seed, seed + 10)
+                ):
+                    assert result.solution.is_feasible(problem)
                 assert pool.installs == expected_installs
             token_a = problem_a.payload_token()
             assert pool.resident_tokens(0) == (token_a,)
@@ -205,17 +114,13 @@ class TestResidentSolvePool:
         workers get the full problem, and no graph is installed."""
         problem = WASOProblem(graph=small_facebook, k=5)
         with ResidentPool(2) as pool:
-            result = parallel_solve(
-                problem,
-                self._factory(engine="reference"),
-                total_budget=60,
-                workers=2,
-                rng=4,
-                pool=pool,
+            results = self._solve_many(
+                pool, problem, (4, 5), engine="reference"
             )
-            assert result.stats.extra["payload"] == "dict-graph"
-            assert result.stats.extra["graph_installs"] == 0
             assert pool.installs == 0
+        for result in results:
+            assert result.stats.extra["graph_shipped"] is False
+            assert result.stats.extra["graph_installs"] == 0
             assert result.solution.is_feasible(problem)
 
     def test_multiple_chunks_per_worker_parse_correctly(
@@ -228,7 +133,7 @@ class TestResidentSolvePool:
 
         problem_a = WASOProblem(graph=small_facebook, k=5)
         problem_b = WASOProblem(graph=facebook_like(120, seed=9), k=4)
-        solver = CBASND(budget=30, m=4, stages=2)
+        kwargs = dict(budget=30, m=4, stages=2, engine="compiled")
         with ResidentPool(1) as pool:
             for index, problem in enumerate((problem_a, problem_b)):
                 spec = problem.payload_spec()
@@ -237,7 +142,8 @@ class TestResidentSolvePool:
                     [{
                         "index": index,
                         "problem": spec,
-                        "solver_obj": solver,
+                        "solver": "cbas-nd",
+                        "kwargs": kwargs,
                         "seed": 7,
                     }],
                     {spec["token"]: problem.compiled().detach()},
@@ -249,17 +155,8 @@ class TestResidentSolvePool:
         ):
             status, echoed, members, value = chunk[0][:4]
             assert status == "ok" and echoed == index
-            direct = solver.solve(problem, rng=7)
+            direct = CBASND(**kwargs).solve(problem, rng=7)
             assert members == direct.members and value == direct.willingness
-
-    def test_pool_smaller_than_workers_rejected(self, small_facebook):
-        problem = WASOProblem(graph=small_facebook, k=5)
-        with ResidentPool(1) as pool:
-            with pytest.raises(ValueError, match="workers"):
-                parallel_solve(
-                    problem, self._factory(), total_budget=60, workers=2,
-                    rng=4, pool=pool,
-                )
 
     def test_closed_pool_rejected(self, small_facebook):
         pool = ResidentPool(1)
@@ -272,26 +169,3 @@ class TestResidentSolvePool:
             ResidentPool(0)
         with pytest.raises(ValueError):
             ResidentPool(1, resident_graphs=0)
-
-
-class TestParallelSolver:
-    def test_solver_interface(self, small_facebook):
-        problem = WASOProblem(graph=small_facebook, k=5)
-        solver = ParallelSolver(budget=60, workers=2, m=5, stages=3)
-        result = solver.solve(problem, rng=9)
-        assert result.solution.is_feasible(problem)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            ParallelSolver(budget=0)
-        with pytest.raises(ValueError):
-            ParallelSolver(budget=10, workers=0)
-
-    def test_quality_comparable_to_serial(self, small_facebook):
-        """Splitting the budget must not collapse quality (statistical)."""
-        problem = WASOProblem(graph=small_facebook, k=6)
-        serial = CBASND(budget=120, m=6, stages=4).solve(problem, rng=2)
-        parallel = ParallelSolver(
-            budget=120, workers=2, m=6, stages=4
-        ).solve(problem, rng=2)
-        assert parallel.willingness >= serial.willingness * 0.5

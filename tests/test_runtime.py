@@ -209,11 +209,36 @@ class TestExecutionContext:
             with pytest.raises(ValueError, match="by name"):
                 context.solve(problem, CBASND(budget=40), budget=50)
 
-    def test_mode_solve_requires_a_registry_name(self, small_facebook):
+    def test_forced_solve_mode_single_solve_runs_serially(
+        self, small_facebook
+    ):
+        """``mode="solve"`` multiplexes batches; a single solve has nothing
+        to multiplex, so it runs in-parent, bit-identical to a serial
+        solve, and starts no worker process."""
         problem = WASOProblem(graph=small_facebook, k=5)
-        with ExecutionContext(workers=2) as context:
-            with pytest.raises(ValueError, match="registry name"):
-                context.solve(problem, CBASND(budget=40), mode="solve")
+        direct = CBASND(budget=60, m=5, stages=3).solve(problem, rng=3)
+        before = _children()
+        with ExecutionContext(workers=2, cpu_count=4) as context:
+            routed = context.solve(
+                problem, "cbas-nd", rng=3, mode="solve",
+                budget=60, m=5, stages=3,
+            )
+            assert _children() == before
+            assert context._pool is None
+        _assert_same_result(direct, routed)
+
+    def test_mode_solve_runs_instances_serially(self, small_facebook):
+        """A solver *instance* under an explicit ``mode="solve"`` runs
+        serially too, instead of raising."""
+        problem = WASOProblem(graph=small_facebook, k=5)
+        direct = CBASND(budget=40, m=4, stages=2).solve(problem, rng=3)
+        with ExecutionContext(workers=2, cpu_count=4) as context:
+            routed = context.solve(
+                problem, CBASND(budget=40, m=4, stages=2), rng=3,
+                mode="solve",
+            )
+            assert context._pool is None
+        _assert_same_result(direct, routed)
 
     def test_foreign_instances_adopt_the_calling_context(
         self, small_facebook
@@ -231,8 +256,7 @@ class TestExecutionContext:
 
     def test_solve_mode_context_degrades_for_instances(self, small_facebook):
         """A solver *instance* under a mode='solve' context default runs
-        serially instead of erroring — only an explicit mode='solve'
-        argument insists on the impossible split."""
+        serially, exactly like an explicit mode='solve' argument."""
         problem = WASOProblem(graph=small_facebook, k=5)
         direct = CBASND(budget=40, m=4, stages=2).solve(problem, rng=3)
         with ExecutionContext(workers=2, mode="solve") as context:
@@ -451,6 +475,9 @@ class TestSolveMany:
         ]
         with ExecutionContext(workers=2) as context:
             batched = context.solve_many(requests, mode="solve")
+            # The serial override still validates the requested mode.
+            with pytest.raises(ValueError, match="mode"):
+                context.solve_many(requests, mode="bogus")
         for lhs, rhs in zip(looped, batched):
             _assert_same_result(lhs, rhs)
 
@@ -492,17 +519,23 @@ class TestSolveMany:
         with pytest.raises(ValueError, match="unknown solver"):
             request_from_spec(runtime_graph, {"k": 5, "solver": "nope"})
 
-    def test_request_from_spec_open_factories_validate_late(
+    def test_request_from_spec_validates_cbas_nd_g_keys(
         self, runtime_graph
     ):
-        """``cbas-nd-g`` is an open ``**kwargs`` wrapper: its keys cannot
-        be enumerated from the signature (``valid_spec_keys`` returns
-        ``None``), so a typo surfaces at construction instead."""
+        """``cbas-nd-g`` validates at the front door like every solver: a
+        mistyped key (``deadline`` for ``deadline_s``) is rejected before
+        a request exists, not failed later inside the batch."""
         from repro.runtime import valid_spec_keys
 
-        assert valid_spec_keys("cbas-nd-g") is None
+        assert valid_spec_keys("cbas-nd-g") == valid_spec_keys("cbas-nd")
         assert "budget" in valid_spec_keys("cbas-nd")
         assert "context" not in valid_spec_keys("cbas-nd")
+        with pytest.raises(ValueError, match="'deadline'"):
+            request_from_spec(
+                runtime_graph,
+                {"k": 5, "solver": "cbas-nd-g", "budget": 40,
+                 "deadline": 1.0},
+            )
         request = request_from_spec(
             runtime_graph, {"k": 5, "solver": "cbas-nd-g", "budget": 50}
         )
@@ -579,16 +612,17 @@ class TestServingSessionResidency:
                 assert second[0].stats.extra["graph_installs"] == 0
                 assert second[0].stats.extra["batch_payload_bytes"] < slim
 
-                # Non-vacuous warm-path check: a forced solve-mode
-                # single solve actually dispatches to the pool (the
-                # planner's small replans route serial by design) and
-                # must find the graph already resident everywhere.
+                # Non-vacuous warm-path check: a stage-sharded single
+                # solve dispatches to every worker (the planner's small
+                # replans route serial by design) and must find the
+                # graph already resident everywhere.
                 warm = context.solve(
-                    problem, "cbas-nd", rng=9, mode="solve",
+                    problem, "cbas-nd", rng=9, mode="stage",
                     budget=40, m=4, stages=2,
                 )
-                assert warm.stats.extra["workers"] == 2
-                assert warm.stats.extra["graph_installs"] == 0
+                assert warm.stats.extra["stage_workers"] == 2
+                assert warm.stats.extra["graph_shipped"] is False
+                assert warm.stats.extra["batch_payload_bytes"] == 0
                 assert pool.installs == 2
         for lhs, batch in ((looped, first), (looped, second)):
             for expected, got in zip(lhs, batch):

@@ -645,6 +645,41 @@ class TestRequestValidation:
         assert replies[5]["error"]["kind"] == "invalid"
         assert "JSON object" in replies[5]["error"]["message"]
 
+    def test_cbas_nd_g_typo_is_invalid_at_the_front_door(
+        self, small_facebook, no_orphans
+    ):
+        """``cbas-nd-g`` validates its keys like every solver: a mistyped
+        ``deadline`` gets one typed ``invalid`` reply instead of being
+        admitted and failing later as a solver error."""
+        line = json.dumps(
+            {"id": "g", "k": 5, "solver": "cbas-nd-g", "budget": 40,
+             "deadline": 1.0}
+        ).encode() + b"\n"
+
+        async def scenario():
+            daemon = ServingDaemon(small_facebook, workers=1)
+            host, port = await daemon.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(line)
+                await writer.drain()
+                writer.write_eof()
+                replies = []
+                while reply := await reader.readline():
+                    replies.append(json.loads(reply))
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await daemon.shutdown()
+            return replies, daemon.counters["invalid"]
+
+        replies, invalid = asyncio.run(scenario())
+        assert len(replies) == 1
+        assert replies[0]["id"] == "g"
+        assert replies[0]["error"]["kind"] == "invalid"
+        assert "'deadline'" in replies[0]["error"]["message"]
+        assert invalid == 1
+
     @pytest.mark.parametrize("writes", [1, 5])
     def test_oversized_line_is_answered_and_the_connection_resyncs(
         self, small_facebook, writes

@@ -28,6 +28,7 @@ from repro.core.problem import WASOProblem
 from repro.core.willingness import evaluator_for
 from repro.online.replanning import OnlinePlanner
 from repro.parallel import ResidentPool, ShardedStageExecutor
+from repro.runtime import ExecutionContext
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +167,7 @@ class TestShardMergeEquivalence:
                 stages=4,
                 rho=rho,
                 smoothing=smoothing,
-                executor=executor,
+                context=ExecutionContext(executor=executor),
             )
             result = solver.solve(problem, rng=11)
         starts = solver.last_warm_state.starts
@@ -255,7 +256,10 @@ class TestShardedSolvers:
     def test_deterministic_and_feasible(self, small_facebook, stage_pool):
         problem = WASOProblem(graph=small_facebook, k=5)
         executor = ShardedStageExecutor(pool=stage_pool)
-        solver = CBASND(budget=120, m=6, stages=3, executor=executor)
+        solver = CBASND(
+            budget=120, m=6, stages=3,
+            context=ExecutionContext(executor=executor),
+        )
         first = solver.solve(problem, rng=4)
         second = solver.solve(problem, rng=4)
         assert first.solution.is_feasible(problem)
@@ -269,7 +273,10 @@ class TestShardedSolvers:
         """`extra` carries the overhead-curve inputs: RPCs + patch bytes."""
         problem = WASOProblem(graph=small_facebook, k=5)
         executor = ShardedStageExecutor(pool=stage_pool)
-        solver = CBASND(budget=120, m=6, stages=3, executor=executor)
+        solver = CBASND(
+            budget=120, m=6, stages=3,
+            context=ExecutionContext(executor=executor),
+        )
         extra = solver.solve(problem, rng=4).stats.extra
         stages = 3
         workers = stage_pool.workers
@@ -288,7 +295,10 @@ class TestShardedSolvers:
     def test_uniform_cbas_ships_no_patches(self, small_facebook, stage_pool):
         problem = WASOProblem(graph=small_facebook, k=5)
         executor = ShardedStageExecutor(pool=stage_pool)
-        solver = CBAS(budget=90, m=6, stages=3, executor=executor)
+        solver = CBAS(
+            budget=90, m=6, stages=3,
+            context=ExecutionContext(executor=executor),
+        )
         extra = solver.solve(problem, rng=9).stats.extra
         # Uniform CBAS has no CE vectors to sync: every stage's patch
         # payload is empty.
@@ -299,7 +309,10 @@ class TestShardedSolvers:
         problem = WASOProblem(graph=small_facebook, k=5)
         executor = ShardedStageExecutor(pool=stage_pool)
         budget, stages = 120, 3
-        solver = CBASND(budget=budget, m=6, stages=stages, executor=executor)
+        solver = CBASND(
+            budget=budget, m=6, stages=stages,
+            context=ExecutionContext(executor=executor),
+        )
         result = solver.solve(problem, rng=4)
         # Connected graph, no sub-k components: every attempt succeeds,
         # so the sharded run consumes the same budget as the serial loop.
@@ -309,7 +322,10 @@ class TestShardedSolvers:
     def test_uniform_cbas_sharded(self, small_facebook, stage_pool):
         problem = WASOProblem(graph=small_facebook, k=5)
         executor = ShardedStageExecutor(pool=stage_pool)
-        solver = CBAS(budget=90, m=6, stages=3, executor=executor)
+        solver = CBAS(
+            budget=90, m=6, stages=3,
+            context=ExecutionContext(executor=executor),
+        )
         result = solver.solve(problem, rng=9)
         assert result.solution.is_feasible(problem)
         assert result.stats.samples_drawn == 90
@@ -318,7 +334,8 @@ class TestShardedSolvers:
         problem = WASOProblem(graph=small_facebook, k=5)
         executor = ShardedStageExecutor(pool=stage_pool)
         solver = CBASND(
-            budget=60, m=4, stages=2, engine="reference", executor=executor
+            budget=60, m=4, stages=2, engine="reference",
+            context=ExecutionContext(executor=executor),
         )
         with pytest.raises(ValueError, match="compiled"):
             solver.solve(problem, rng=1)
@@ -330,7 +347,9 @@ class TestShardedSolvers:
             budget=120,
             m=6,
             stages=4,
-            executor=ShardedStageExecutor(pool=stage_pool),
+            context=ExecutionContext(
+                executor=ShardedStageExecutor(pool=stage_pool)
+            ),
         ).solve(problem, rng=2)
         # Same statistical computation (full-elite refit every stage):
         # quality must stay in the serial ballpark.
@@ -342,7 +361,10 @@ class TestResidency:
         problem = WASOProblem(graph=small_facebook, k=5)
         installs_before = stage_pool.installs
         executor = ShardedStageExecutor(pool=stage_pool)
-        solver = CBASND(budget=60, m=4, stages=2, executor=executor)
+        solver = CBASND(
+            budget=60, m=4, stages=2,
+            context=ExecutionContext(executor=executor),
+        )
         first = solver.solve(problem, rng=1)
         second = solver.solve(problem, rng=2)
         assert stage_pool.installs <= installs_before + stage_pool.workers
@@ -357,7 +379,10 @@ class TestResidency:
         problem = WASOProblem(graph=graph, k=4)
         with ResidentPool(2) as pool:
             executor = ShardedStageExecutor(pool=pool)
-            solver = CBASND(budget=60, m=4, stages=2, executor=executor)
+            solver = CBASND(
+                budget=60, m=4, stages=2,
+                context=ExecutionContext(executor=executor),
+            )
             solver.solve(problem, rng=1)
             assert pool.installs == 2
             token_before = pool.resident_token
@@ -379,8 +404,14 @@ class TestResidency:
         problem_b = WASOProblem(graph=facebook_like(120, seed=8), k=4)
         with ResidentPool(2, resident_graphs=1) as pool:
             executor = ShardedStageExecutor(pool=pool)
-            solver_a = CBASND(budget=60, m=4, stages=2, executor=executor)
-            solver_b = CBASND(budget=60, m=4, stages=2, executor=executor)
+            solver_a = CBASND(
+                budget=60, m=4, stages=2,
+                context=ExecutionContext(executor=executor),
+            )
+            solver_b = CBASND(
+                budget=60, m=4, stages=2,
+                context=ExecutionContext(executor=executor),
+            )
             solver_a.solve(problem_a, rng=1)
             assert pool.installs == 2
             solver_b.solve(problem_b, rng=2)  # evicts A
@@ -430,7 +461,10 @@ class TestOnlineReplanningResident:
         problem = WASOProblem(graph=small_facebook, k=5)
         with ResidentPool(2) as pool:
             executor = ShardedStageExecutor(pool=pool)
-            solver = CBASND(budget=80, m=5, stages=2, executor=executor)
+            solver = CBASND(
+                budget=80, m=5, stages=2,
+                context=ExecutionContext(executor=executor),
+            )
             with OnlinePlanner(problem, solver=solver, rng=6) as planner:
                 group = planner.plan()
                 assert pool.installs == 2
@@ -448,13 +482,3 @@ class TestOnlineReplanningResident:
                     planner.last_result.stats.extra["graph_shipped"] is False
                 )
                 assert group.is_feasible(planner._current_problem())
-
-    def test_close_tears_down_owned_pool(self, small_facebook):
-        problem = WASOProblem(graph=small_facebook, k=5)
-        executor = ShardedStageExecutor(workers=2)
-        solver = CBASND(budget=60, m=4, stages=2, executor=executor)
-        planner = OnlinePlanner(problem, solver=solver, rng=6)
-        planner.plan()
-        planner.close()
-        with pytest.raises(RuntimeError):
-            executor.pool.ensure_resident(problem)
