@@ -26,7 +26,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 TIER2_INVOCATION = (
     "PYTHONPATH=src python -m pytest benchmarks/ -m tier2 && "
     "PYTHONPATH=src python -m pytest tests/test_faults.py "
-    "tests/test_serving.py tests/test_storage.py -m chaos && "
+    "tests/test_serving.py tests/test_storage.py tests/test_graph_deltas.py "
+    "-m chaos && "
     "PYTHONPATH=src python benchmarks/bench_perf_sampler.py --check && "
     "PYTHONPATH=src python benchmarks/bench_serving_daemon.py --check && "
     "PYTHONPATH=src python benchmarks/bench_fig7_dblp.py --check && "

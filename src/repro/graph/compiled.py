@@ -105,6 +105,15 @@ _PAYLOAD_COUNTER = itertools.count()
 _DELTA_LOG_LIMIT = 64
 
 
+def discard_vector_mirror(token: str) -> None:
+    """Drop the vector engine's cached numpy mirror of ``token``, if any."""
+    try:
+        from repro.vector.arrays import discard_vector_graph
+    except ImportError:  # pragma: no cover - numpy-less install
+        return
+    discard_vector_graph(token)
+
+
 def _new_payload_token() -> str:
     # Fixed-width fields: the token rides in every resident-pool wire
     # spec, and the tier-2 payload-byte gates compare those pickles
@@ -485,12 +494,7 @@ class CompiledGraph:
         maps, self._mmaps = self._mmaps, ()
         if not maps:
             return
-        try:
-            from repro.vector.arrays import discard_vector_graph
-
-            discard_vector_graph(self.payload_token)
-        except ImportError:  # pragma: no cover - numpy-less install
-            pass
+        discard_vector_mirror(self.payload_token)
         self.offsets = list(self.offsets)
         self.targets = list(self.targets)
         self.out_w = list(self.out_w)
@@ -883,12 +887,7 @@ class CompiledGraph:
             return
         # Drop the numpy views the vector engine may hold over the maps
         # (the module-level cache would otherwise pin the buffers).
-        try:
-            from repro.vector.arrays import discard_vector_graph
-
-            discard_vector_graph(self.payload_token)
-        except ImportError:  # pragma: no cover - numpy-less install
-            pass
+        discard_vector_mirror(self.payload_token)
         # Release every exported buffer before closing the mappings.
         empty: tuple = ()
         self.offsets = empty

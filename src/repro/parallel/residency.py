@@ -48,6 +48,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable, Optional
 
+from repro.graph.compiled import discard_vector_mirror
+
 __all__ = [
     "DEFAULT_RESIDENT_GRAPHS",
     "DEFAULT_MAX_RETRIES",
@@ -95,12 +97,16 @@ class ResidentGraphStore:
         frozen on-disk index) is explicitly closed so the worker's
         mapping is released immediately rather than at whatever point
         the garbage collector notices — resident-set bytes stay bounded
-        by the ledger capacity even for out-of-core graphs.
+        by the ledger capacity even for out-of-core graphs.  Every
+        evicted graph's vector-engine mirror is dropped too, so the
+        mirror cache never pins arrays of a graph the worker no longer
+        holds.
         """
         for stale in evict:
             old = self._graphs.pop(stale, None)
             if old is not None and getattr(old, "is_mmap_backed", False):
                 old.close()
+            discard_vector_mirror(stale)
         # A re-install over the same token (e.g. a path-installed graph
         # demoted to arrays because it was patched in the parent) must
         # release the old copy's mappings immediately too.

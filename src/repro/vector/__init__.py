@@ -4,10 +4,11 @@ The compiled engine's per-call kernels are already near-optimal pure
 Python; the remaining raw speed lives in *batch-level* vectorization.
 This package evaluates a whole stage's draws as array operations:
 
-* :mod:`repro.vector.arrays` — zero-copy-shaped numpy views over a
-  :class:`~repro.graph.compiled.CompiledGraph`'s CSR / pair-weight /
-  potential lists, cached per payload token so resident workers (which
-  share the detached payload, and therefore the token) build them once;
+* :mod:`repro.vector.arrays` — a numpy mirror of a
+  :class:`~repro.graph.compiled.CompiledGraph`'s CSR, pair-weight and
+  interest lists, cached once per payload token so resident workers
+  (which share the detached payload, and therefore the token) build it
+  once, and patched forward on ``set_tightness`` deltas;
 * :mod:`repro.vector.rng` — a counter-based RNG scheme
   (``numpy.random.Philox``) keying every draw's uniforms by
   ``(solve key, start, draw position)``, which makes seeded vector runs

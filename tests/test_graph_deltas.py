@@ -417,36 +417,64 @@ class TestResidencyPatchProtocol:
 # Warm pool under stage-sharded solves: sparse patch instead of re-install,
 # chaos recovery
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("engine", ["compiled", "vector"])
 class TestWarmPoolPatching:
-    def _solve(self, graph, pool, rng):
+    def _solve(self, graph, pool, rng, engine):
         executor = ShardedStageExecutor(pool=pool)
         solver = CBASND(
-            budget=120, m=6, stages=3,
+            budget=120, m=6, stages=3, engine=engine,
             context=ExecutionContext(executor=executor),
         )
         return solver.solve(WASOProblem(graph=graph, k=5), rng=rng)
 
-    def test_warm_workers_receive_patch_not_install(self, no_orphans):
+    def test_warm_workers_receive_patch_not_install(self, engine, no_orphans):
         graph = _general_graph(40, 41)
         with ResidentPool(2) as pool:
-            first = self._solve(graph, pool, 4)
+            first = self._solve(graph, pool, 4, engine)
             assert pool.installs == 2
             graph.compiled().apply_deltas(
                 [("add_node", "late", 1.1, 0.5),
                  ("add_edge", "late", next(iter(graph.nodes())), 0.4)]
             )
-            second = self._solve(graph, pool, 4)
+            second = self._solve(graph, pool, 4, engine)
             assert pool.installs == 2  # no re-install: patched in place
             assert second.stats.extra["graph_patch_bytes"] > 0
             assert not second.stats.extra["graph_shipped"]
         # And the patched solve matches a cold pool on the same graph.
         with ResidentPool(2) as pool:
-            cold = self._solve(graph, pool, 4)
+            cold = self._solve(graph, pool, 4, engine)
         assert second.solution.members == cold.solution.members
         assert second.solution.willingness == cold.solution.willingness
         assert first.stats.extra["graph_shipped"]
 
-    def test_worker_killed_mid_patch_stream_reconverges(self, no_orphans):
+    def test_tightness_patch_matches_cold_pool(self, engine, no_orphans):
+        graph = _general_graph(40, 43)
+        cold_graph = _general_graph(40, 43)
+        (u, v), (x, y) = sorted(graph.edges(), key=repr)[:2]
+        deltas = [("set_tightness", u, v, 0.9), ("set_tightness", y, x, -0.3)]
+        with ResidentPool(2) as pool:
+            self._solve(graph, pool, 4, engine)
+            installs = pool.installs
+            # Weight-only: warm vector mirrors are patched forward, in
+            # the parent and in each worker, instead of rebuilt.
+            graph.compiled().apply_deltas(deltas)
+            warm = self._solve(graph, pool, 4, engine)
+            assert pool.installs == installs
+            assert warm.stats.extra["graph_patch_bytes"] > 0
+        # A cold pool over a fresh freeze of the same weights: new
+        # token, so every process converts its mirror from scratch.
+        for _, a, b, tau in deltas:
+            cold_graph.set_tightness(a, b, tau)
+        with ResidentPool(2) as pool:
+            cold = self._solve(cold_graph, pool, 4, engine)
+        assert warm.solution.members == cold.solution.members
+        assert warm.solution.willingness == cold.solution.willingness
+        assert warm.stats.samples_drawn == cold.stats.samples_drawn
+
+    @pytest.mark.chaos
+    def test_worker_killed_mid_patch_stream_reconverges(
+        self, engine, no_orphans
+    ):
         graph = _general_graph(40, 42)
         clean_graph = _general_graph(40, 42)
         deltas = [
@@ -454,18 +482,18 @@ class TestWarmPoolPatching:
             ("add_edge", "late", next(iter(graph.nodes())), 0.4),
         ]
         with ResidentPool(2) as pool:
-            self._solve(clean_graph, pool, 4)
+            self._solve(clean_graph, pool, 4, engine)
             clean_graph.compiled().apply_deltas(list(deltas))
-            clean = self._solve(clean_graph, pool, 4)
+            clean = self._solve(clean_graph, pool, 4, engine)
         with ResidentPool(2) as pool:
-            self._solve(graph, pool, 4)
+            self._solve(graph, pool, 4, engine)
             graph.compiled().apply_deltas(list(deltas))
             # Kill worker 0 on its next send — the graph_patch record —
             # so recovery must reset its ledger and full-ship the
             # current generation before the solve proceeds.
             plan = FaultPlan(kills=[(0, NEXT_RPC)])
             pool.fault_plan = plan
-            faulted = self._solve(graph, pool, 4)
+            faulted = self._solve(graph, pool, 4, engine)
             assert plan.log, "the injected kill never fired"
             assert pool.worker_restarts == 1
             assert pool.healthy

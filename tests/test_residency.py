@@ -9,12 +9,14 @@ exactly.
 
 import pytest
 
+from repro.graph.generators import random_social_graph
 from repro.parallel.residency import (
     DEFAULT_RESIDENT_GRAPHS,
     ResidencyLedger,
     ResidentGraphStore,
     record_shipping,
 )
+from repro.vector import vector_graph_for
 
 
 class TestResidencyLedger:
@@ -121,6 +123,17 @@ class TestResidentGraphStore:
         # Evicting an already-absent token is a no-op, not an error.
         store.install("t3", object(), evict=("gone",))
         assert len(store) == 2
+
+    def test_eviction_drops_the_vector_mirror(self):
+        evicted = random_social_graph(30, average_degree=3.0, seed=1).compiled()
+        kept = random_social_graph(30, average_degree=3.0, seed=2).compiled()
+        store = ResidentGraphStore()
+        store.install(evicted.payload_token, evicted)
+        mirror = vector_graph_for(evicted)
+        store.install(kept.payload_token, kept, evict=(evicted.payload_token,))
+        # The cache no longer pins the evicted graph's arrays: a later
+        # lookup converts afresh.
+        assert vector_graph_for(evicted) is not mirror
 
 
 class TestRecordShipping:

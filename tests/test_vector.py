@@ -20,6 +20,7 @@ solvers.
 """
 
 import math
+import pickle
 import random
 
 import numpy as np
@@ -36,7 +37,8 @@ from repro.core.willingness import (
     evaluator_for,
     validate_engine,
 )
-from repro.graph.generators import facebook_like
+from repro.graph.generators import facebook_like, random_social_graph
+from repro.parallel.residency import ResidentGraphStore, apply_graph_patch
 from repro.runtime.context import ExecutionContext
 from repro.runtime.requests import SolveRequest
 from repro.scenarios import (
@@ -49,7 +51,8 @@ from repro.scenarios import (
     strip_virtual_node,
 )
 from repro.scenarios.filters import attribute_filter, filtered_problem
-from repro.vector import VectorWillingnessEvaluator, vector_graph_for
+from repro.vector import VectorGraph, VectorWillingnessEvaluator, vector_graph_for
+from repro.vector import arrays as vector_arrays
 from repro.vector.rng import draw_uniforms, philox_key, uniform_width
 
 W_TOLERANCE = 1e-9
@@ -137,6 +140,145 @@ class TestEngineSeam:
         assert vector_graph_for(compiled.detach()) is first
         assert first.number_of_nodes == compiled.number_of_nodes
         assert first.degrees.sum() == len(compiled.targets)
+
+
+# ----------------------------------------------------------------------
+# The mirror follows weight deltas
+# ----------------------------------------------------------------------
+_MIRROR_ARRAYS = ("offsets", "targets", "pair_w", "weighted_interest", "degrees")
+
+
+def _mutable_graph(seed: int):
+    """Random graph with asymmetric tightness and mixed λ weights."""
+    graph = random_social_graph(60, average_degree=4.0, seed=seed)
+    rng = random.Random(seed)
+    for u, v in graph.edges():
+        graph.set_tightness(u, v, rng.uniform(-1.0, 1.0))
+        graph.set_tightness(v, u, rng.uniform(-1.0, 1.0))
+    for node in graph.nodes():
+        graph.set_lam(node, rng.choice([None, rng.random()]))
+    return graph
+
+
+def _tightness_batch(graph, rng: random.Random) -> list:
+    ops = []
+    for u, v in rng.sample(sorted(graph.edges(), key=repr), rng.randint(1, 6)):
+        if rng.random() < 0.5:
+            u, v = v, u
+        ops.append(("set_tightness", u, v, rng.uniform(-1.0, 1.0)))
+    return ops
+
+
+def _assert_fresh(mirror, compiled) -> None:
+    """``mirror`` is byte-equal to a fresh conversion of ``compiled``."""
+    fresh = VectorGraph(compiled)
+    assert mirror.generation == compiled.generation
+    assert mirror.number_of_nodes == fresh.number_of_nodes
+    for name in _MIRROR_ARRAYS:
+        ours, theirs = getattr(mirror, name), getattr(fresh, name)
+        assert ours.dtype == theirs.dtype, name
+        assert ours.tobytes() == theirs.tobytes(), name
+
+
+class TestMirrorFollowsDeltas:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tightness_spans_patch_the_mirror(self, seed):
+        graph = _mutable_graph(seed)
+        compiled = graph.compiled()
+        rng = random.Random(seed)
+        mirror = vector_graph_for(compiled)
+        for _ in range(5):
+            # One or several batches behind the cached generation.
+            for _ in range(rng.randint(1, 3)):
+                compiled.apply_deltas(_tightness_batch(graph, rng))
+            patched = vector_graph_for(compiled)
+            assert patched.offsets is mirror.offsets  # no full conversion
+            _assert_fresh(patched, compiled)
+            mirror = patched
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_worker_patch_replay_patches_the_mirror(self, seed):
+        graph = _mutable_graph(10 + seed)
+        compiled = graph.compiled()
+        token = compiled.payload_token
+        store = ResidentGraphStore()
+        store.install(token, pickle.loads(pickle.dumps(compiled.detach())))
+        resident = store.get(token)
+        rng = random.Random(seed)
+        mirror = vector_graph_for(resident)
+        for _ in range(4):
+            held = resident.generation
+            for _ in range(rng.randint(1, 3)):
+                compiled.apply_deltas(_tightness_batch(graph, rng))
+            apply_graph_patch(
+                store, token, compiled.generation,
+                compiled.delta_batches_since(held),
+            )
+            patched = vector_graph_for(resident)
+            assert patched.offsets is mirror.offsets
+            _assert_fresh(patched, resident)
+            _assert_fresh(patched, compiled)
+            mirror = patched
+
+    @pytest.mark.parametrize("kind", ["add_node", "add_edge", "remove_edge"])
+    def test_structural_span_converts_afresh(self, kind):
+        graph = _mutable_graph(20)
+        compiled = graph.compiled()
+        rng = random.Random(20)
+        mirror = vector_graph_for(compiled)
+        nodes = list(graph.nodes())
+        structural = {
+            "add_node": ("add_node", "late", 1.5, 0.25),
+            "add_edge": next(
+                ("add_edge", u, v, 0.5, -0.25)
+                for u in nodes for v in nodes
+                if u != v and not graph.has_edge(u, v)
+            ),
+            "remove_edge": ("remove_edge", *sorted(graph.edges(), key=repr)[0]),
+        }[kind]
+        compiled.apply_deltas(_tightness_batch(graph, rng))
+        compiled.apply_deltas(_tightness_batch(graph, rng) + [structural])
+        rebuilt = vector_graph_for(compiled)
+        assert rebuilt.offsets is not mirror.offsets
+        _assert_fresh(rebuilt, compiled)
+
+    def test_span_past_compact_converts_afresh(self):
+        graph = _mutable_graph(21)
+        compiled = graph.compiled()
+        mirror = vector_graph_for(compiled)
+        compiled.apply_deltas(_tightness_batch(graph, random.Random(21)))
+        compiled.compact()
+        rebuilt = vector_graph_for(compiled)
+        assert rebuilt.offsets is not mirror.offsets
+        _assert_fresh(rebuilt, compiled)
+
+    def test_handed_out_mirror_unchanged_by_patch(self):
+        graph = _mutable_graph(22)
+        compiled = graph.compiled()
+        held = vector_graph_for(compiled)
+        before = VectorGraph(compiled)
+        compiled.apply_deltas(_tightness_batch(graph, random.Random(22)))
+        patched = vector_graph_for(compiled)
+        assert patched is not held
+        assert held.generation == 0
+        for name in _MIRROR_ARRAYS:
+            assert getattr(held, name).tobytes() == getattr(before, name).tobytes()
+        assert held.pair_w.tobytes() != patched.pair_w.tobytes()
+
+    def test_one_cache_entry_per_token(self):
+        graph = _mutable_graph(23)
+        compiled = graph.compiled()
+        rng = random.Random(23)
+        mirrors = [vector_graph_for(compiled)]
+        for _ in range(10):
+            compiled.apply_deltas(_tightness_batch(graph, rng))
+            mirrors.append(vector_graph_for(compiled))
+        cached = [
+            mirror
+            for mirror in vector_arrays._CACHE.values()
+            if any(mirror is ours for ours in mirrors)
+        ]
+        assert len(cached) == 1 and cached[0] is mirrors[-1]
 
 
 # ----------------------------------------------------------------------
