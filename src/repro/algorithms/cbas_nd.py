@@ -110,9 +110,9 @@ class CBASND(CBAS):
         starts: list,
         evaluator: "WillingnessEvaluator | FastWillingnessEvaluator",
     ) -> None:
-        # On the compiled engine the vectors live in the compiled int-id
-        # domain: one float slot per graph node, shared index mapping, so
-        # the sampler weights frontier draws by plain list indexing.
+        # On the compiled and vector engines the vectors live in the
+        # compiled int-id domain: one float slot per graph node, shared
+        # index mapping, so the samplers weight frontier draws by id.
         compiled = getattr(evaluator, "compiled", None)
         index_of = compiled.index_of if compiled is not None else None
         warm = self.warm_state
@@ -153,14 +153,6 @@ class CBASND(CBAS):
                         compiled.number_of_nodes
                         if compiled is not None
                         else None
-                    ),
-                    # The vector engine refits whole float64 arrays; the
-                    # batch kernel reads them zero-copy and the eager
-                    # numpy rounds stay IEEE-identical to the lazy chain.
-                    backend=(
-                        "numpy"
-                        if getattr(evaluator, "is_vector", False)
-                        else "list"
                     ),
                 )
                 vectors.append(template)

@@ -400,6 +400,11 @@ class ExpansionSampler:
         self._validate_bias(weight_of, greedy_bias, weight_array)
         samples: list[Optional[Sample]] = []
         if self._compiled is not None:
+            if hasattr(weight_array, "tolist"):
+                # A CE vector's float64 array: the kernel reads one weight
+                # per frontier slot, and a list index is far cheaper than
+                # a numpy scalar read, so convert once for the batch.
+                weight_array = weight_array.tolist()
             state = self._seed_state(seed)
             draw_fast = self._draw_fast
             for _ in range(count):

@@ -14,16 +14,16 @@ optimal importance-sampling density.  A smoothing step
 
 Array layout and id-domain contract
 -----------------------------------
-The vector is stored as one flat ``list[float]`` plus an id mapping, in
-one of two domains:
+The vector is stored as one flat float64 ``numpy`` array plus an id
+mapping, in one of two domains:
 
 * **Compiled domain** — constructed with ``index_of=`` (the
   :attr:`~repro.graph.compiled.CompiledGraph.index_of` mapping of the
   problem's frozen index, shared, never copied): the array has one slot
   per *graph* node, indexed by compiled int id.  :attr:`array` then
-  exposes the raw list so the fast sampler can weight a frontier draw
-  with plain list indexing (``array[frontier_id]``, no per-slot dict
-  probe) and the elite refit can count membership straight off
+  exposes the array itself, so the samplers weight a frontier draw by
+  compiled id with no per-slot dict probe, and the elite refit can count
+  membership straight off
   :attr:`~repro.algorithms.sampling.Sample.indices`.  Slots of
   non-candidate (forbidden) nodes stay ``0.0`` and are never touched by
   the update.
@@ -34,30 +34,23 @@ one of two domains:
 Both domains run the identical Eq. (4) arithmetic over the candidates in
 the same (input) order, so the probability values — and therefore seeded
 solver runs — are bit-identical whichever domain backs the vector.
-:meth:`as_dict` is the thin dict view in either domain; the execution
-stack itself never converts back to node ids mid-solve.
+Every read hands out plain Python ``float`` values (:meth:`probability`,
+:meth:`as_dict`, :meth:`snapshot`, refit patches); :meth:`as_dict` is
+the thin dict view in either domain, and the execution stack itself
+never converts back to node ids mid-solve.
 
-Lazy decay
-----------
-The smoothing step multiplies *every* slot by ``1 − w`` each stage; only
-the ≤ k·|elites| elite-touched slots get the full Eq. (4) formula.  The
-refit therefore records the uniform decay as a pending *round* (the keep
-factor is appended to an internal list) in O(touched) time instead of
-rewriting the whole O(n) array, and true values are materialized only on
-read/draw — :attr:`array` (the fast sampler borrows it once per batch),
-:meth:`probability`, :meth:`snapshot`, :meth:`as_dict`, ….
-
-Materialization is **exact**, not a folded scale factor: each slot
-remembers how many rounds are already folded into it, and catching up
-applies the pending keep factors as the same left-to-right chain of
-multiplications the historical eager comprehension performed
-(``((p·k₁)·k₂)·…``).  A single accumulated product ``p·(k₁·k₂·…)`` would
-drift from the eager path in the last ulp and flip quantile-threshold
-comparisons downstream; the factored chain keeps lazily-materialized
-values — and therefore seeded draws on both engines — bit-identical to
-the eager implementation.  A vector that is refitted but never read again
-(pruned or unfunded start nodes, the coordinator side of a stage-sharded
-solve) never pays the O(n) pass at all.
+Refit rounds
+------------
+The smoothing step multiplies *every* slot by ``1 − w``; only the
+≤ k·|elites| elite-touched slots get the full Eq. (4) formula.  A refit
+round therefore runs ``p *= keep`` over the whole array and then
+overwrites the touched slots.  Each slot's value is the left-to-right
+chain of IEEE multiplications ``((p·k₁)·k₂)·…`` on every engine, so
+seeded draws stay bit-identical across the reference and compiled
+engines.  The vector kernel reads the array zero-copy; the scalar
+compiled kernel indexes a Python list, because a list index is far
+cheaper than a numpy scalar read per frontier slot, and converts the
+array once per draw batch with ``tolist()``.
 
 Sharded stage merge
 -------------------
@@ -66,8 +59,8 @@ samples in worker processes and refits the parent's vector from merged
 per-shard elite evidence: :meth:`observe_stage_gamma` folds the merged
 stage quantile into the monotone threshold and :meth:`update_from_counts`
 applies Eq. (4) from pre-aggregated elite membership counts — the exact
-arithmetic of :meth:`update`, minus the per-sample scan.  Both refit
-entry points return the applied round as a compact *patch*
+arithmetic of :meth:`update`, minus the per-sample scan, and returns
+the applied round as a compact *patch*
 ``("round", keep, ((slot, value), …))``; worker-resident mirror vectors
 replay it with :meth:`apply_round` (or :meth:`restore` for a full-array
 resync) and stay bit-identical to the parent without the parent ever
@@ -114,29 +107,15 @@ class SelectionProbabilities:
     index_of:
         Optional compiled-id mapping (``CompiledGraph.index_of``).  When
         given, the vector lives in the compiled int-id domain (see the
-        module docstring) and :attr:`array` serves the fast sampler
+        module docstring) and :attr:`array` serves the samplers
         directly; the mapping is shared by reference, not copied.
     size:
         Array length for the compiled domain (defaults to
         ``len(index_of)``, i.e. one slot per graph node).
-    backend:
-        ``"list"`` (default) stores ``_p`` as a plain list with the lazy
-        decay-round machinery; ``"numpy"`` (the vector engine) stores a
-        float64 ndarray and applies every refit round eagerly with one
-        vectorized multiply — the decay chain then has one factor per
-        round applied left-to-right, so per-slot values stay
-        IEEE-identical to the lazy chain.  The numpy backend never books
-        pending rounds, which makes every materialization path a no-op.
     """
 
     __slots__ = (
         "_p",
-        "_backend",
-        "_age",
-        "_keeps",
-        "_stale_rounds",
-        "_last_touched",
-        "_slot_materialized",
         "_index_of",
         "_candidates",
         "_candidate_ids",
@@ -151,12 +130,7 @@ class SelectionProbabilities:
         *,
         index_of: "Mapping[NodeId, int] | None" = None,
         size: "int | None" = None,
-        backend: str = "list",
     ) -> None:
-        if backend not in ("list", "numpy"):
-            raise ValueError(
-                f"backend must be 'list' or 'numpy', got {backend!r}"
-            )
         nodes = list(candidates)
         if not nodes:
             raise ValueError("need at least one candidate node")
@@ -176,95 +150,20 @@ class SelectionProbabilities:
             length = len(index_of) if size is None else size
         self._candidates = nodes
         self._candidate_ids = [self._index_of[node] for node in nodes]
-        self._backend = backend
-        if backend == "numpy":
-            p = np.zeros(length, dtype=np.float64)
-            p[self._candidate_ids] = initial
-            self._p = p
-        else:
-            p = [0.0] * length
-            for slot in self._candidate_ids:
-                p[slot] = initial
-            self._p = p
-        # Lazy-decay bookkeeping: _keeps[r] is the keep factor of refit
-        # round r, _age[slot] the number of rounds already folded into
-        # _p[slot].  _stale_rounds / _last_touched / _slot_materialized
-        # exist only to keep the common one-pending-round full
-        # materialization on the C-level comprehension fast path.
-        self._age = [0] * length
-        self._keeps: list[float] = []
-        self._stale_rounds = 0
-        self._last_touched: tuple = ()
-        self._slot_materialized = False
+        self._p = np.zeros(length, dtype=np.float64)
+        self._p[self._candidate_ids] = initial
         self.gamma = -math.inf  # monotone elite threshold (pseudo-code 36-39)
 
     # ------------------------------------------------------------------
-    # Lazy materialization
-    # ------------------------------------------------------------------
-    def _materialize_slot(self, slot: int) -> float:
-        """Fold pending decay rounds into one slot (exact factored chain)."""
-        keeps = self._keeps
-        rounds = len(keeps)
-        age = self._age[slot]
-        value = self._p[slot]
-        if age != rounds:
-            while age < rounds:
-                value *= keeps[age]
-                age += 1
-            self._p[slot] = value
-            self._age[slot] = rounds
-            self._slot_materialized = True
-        return value
-
-    def _materialize_all(self) -> None:
-        """Fold pending decay rounds into every slot.
-
-        The common case — exactly one pending round and no slot read
-        since — decays the whole array with one C-level comprehension and
-        restores the round's touched slots (which are already current),
-        reproducing the historical eager pass bit-for-bit.  Mixed ages
-        (several pending rounds, or interleaved per-slot reads) fall back
-        to the per-slot factored chain, which is equally exact.
-        """
-        if not self._stale_rounds:
-            return
-        p = self._p
-        keeps = self._keeps
-        rounds = len(keeps)
-        if self._stale_rounds == 1 and not self._slot_materialized:
-            keep = keeps[-1]
-            saved = [(slot, p[slot]) for slot in self._last_touched]
-            p[:] = [keep * value for value in p]
-            for slot, value in saved:
-                p[slot] = value
-        else:
-            ages = self._age
-            for slot, age in enumerate(ages):
-                if age == rounds:
-                    continue
-                value = p[slot]
-                while age < rounds:
-                    value *= keeps[age]
-                    age += 1
-                p[slot] = value
-        self._age = [rounds] * len(p)
-        self._stale_rounds = 0
-        self._last_touched = ()
-        self._slot_materialized = False
-
-    # ------------------------------------------------------------------
     @property
-    def array(self) -> "list[float] | None":
+    def array(self) -> "np.ndarray | None":
         """Compiled-id-indexed weight array (``None`` in the local domain).
 
-        Pending decay rounds are materialized on access, so the fast
-        sampler can hand the returned list straight to its frontier draw;
-        the list object is mutated in place by the refit so a borrowed
-        reference stays current within one stage.
+        The array object is refitted in place, so a borrowed reference
+        stays current within one stage.
         """
         if self.index_map is None:
             return None
-        self._materialize_all()
         return self._p
 
     def probability(self, node: NodeId) -> float:
@@ -272,9 +171,7 @@ class SelectionProbabilities:
         slot = self._index_of.get(node)
         if slot is None:
             return 0.0
-        if self._age[slot] != len(self._keeps):
-            return self._materialize_slot(slot)
-        return self._p[slot]
+        return self._p.item(slot)
 
     __call__ = probability
 
@@ -284,7 +181,6 @@ class SelectionProbabilities:
             slot = self._index_of[node]
         except KeyError:
             raise KeyError(f"{node!r} is not in this vector's domain") from None
-        self._materialize_all()
         self._p[slot] = value
 
     def reset_threshold(self) -> None:
@@ -321,26 +217,15 @@ class SelectionProbabilities:
         clone._index_of = self._index_of
         clone._candidates = self._candidates
         clone._candidate_ids = self._candidate_ids
-        clone._backend = self._backend
-        clone._p = (
-            self._p.copy() if self._backend == "numpy" else list(self._p)
-        )
-        clone._age = list(self._age)
-        clone._keeps = list(self._keeps)
-        clone._stale_rounds = self._stale_rounds
-        clone._last_touched = tuple(self._last_touched)
-        clone._slot_materialized = self._slot_materialized
+        clone._p = self._p.copy()
         clone.gamma = self.gamma
         return clone
 
     def as_dict(self) -> dict[NodeId, float]:
         """Dict view ``{candidate: probability}`` (candidate input order)."""
-        self._materialize_all()
-        p = self._p
-        return {
-            node: p[slot]
-            for node, slot in zip(self._candidates, self._candidate_ids)
-        }
+        return dict(
+            zip(self._candidates, self._p[self._candidate_ids].tolist())
+        )
 
     # ------------------------------------------------------------------
     def update(
@@ -358,17 +243,13 @@ class SelectionProbabilities:
         new stage's quantile only replaces ``γ`` when it improves it.
 
         Elite membership is counted from :attr:`Sample.indices` when both
-        the vector and the sample live in the compiled id domain — a plain
-        array increment per member — falling back to node-id translation
+        the vector and the sample live in the compiled id domain — one
+        dict increment per member — falling back to node-id translation
         for reference-path samples.
 
         ``compute_movement=False`` (the default CBAS-ND configuration —
-        no backtracking) applies the refit lazily: the uniform ``(1−w)``
-        decay is recorded as a pending round in O(touched) time and
-        materialized on the next read/draw.  ``compute_movement=True``
-        needs the full old/new arrays for the O(n) squared-distance
-        accumulation, so it materializes eagerly first.  The probability
-        values any later read observes are bit-identical either way.
+        no backtracking) skips the O(n) squared-distance sum and returns
+        ``0.0``; the refitted probabilities are the same either way.
         """
         if not 0.0 < rho <= 1.0:
             raise ValueError(f"rho must lie in (0, 1], got {rho}")
@@ -392,31 +273,16 @@ class SelectionProbabilities:
         compiled_domain = self.index_map is not None
         index_of = self._index_of
         counts: dict[int, int] = {}
-        if (
-            compiled_domain
-            and self._backend == "numpy"
-            and all(sample.indices is not None for sample in elites)
-        ):
-            # Vector engine: one bincount over the concatenated elite
-            # member indices replaces the per-member dict increments.
-            flat = np.fromiter(
-                (slot for sample in elites for slot in sample.indices),
-                dtype=np.int64,
-            )
-            binned = np.bincount(flat, minlength=len(self._p))
-            for slot in np.nonzero(binned)[0]:
-                counts[int(slot)] = int(binned[slot])
-        else:
-            for sample in elites:
-                indices = sample.indices if compiled_domain else None
-                if indices is not None:
-                    for slot in indices:
+        for sample in elites:
+            indices = sample.indices if compiled_domain else None
+            if indices is not None:
+                for slot in indices:
+                    counts[slot] = counts.get(slot, 0) + 1
+            else:
+                for node in sample.members:
+                    slot = index_of.get(node)
+                    if slot is not None:
                         counts[slot] = counts.get(slot, 0) + 1
-                else:
-                    for node in sample.members:
-                        slot = index_of.get(node)
-                        if slot is not None:
-                            counts[slot] = counts.get(slot, 0) + 1
 
         _, movement = self._refit(
             counts, len(elites), smoothing, compute_movement
@@ -459,112 +325,70 @@ class SelectionProbabilities:
     ) -> "tuple[tuple, float]":
         """Shared Eq. (4) + smoothing arithmetic; returns (patch, movement).
 
-        Eq. (4) + smoothing, restructured around the elite-touched
-        slots: an untouched slot's elite frequency is 0, so its new
-        value is exactly ``(1 − w) · old`` (``w·0.0 + x == x`` in IEEE
-        arithmetic) — recorded as a pending decay round (lazy) or applied
-        with one C-level comprehension (eager, movement path) — while
-        only the ≤ k·|elites| touched slots get the full formula.
-        Per-slot values are bit-identical to the naive full loop; the
-        movement sum groups the untouched term as ``w² · Σ old²``.
-        Touched slots are visited in sorted (slot) order so the movement
-        is independent of how membership was counted (int ids vs node-id
-        translation vs shard aggregation).
+        An untouched slot's elite frequency is 0, so its new value is
+        exactly ``(1 − w) · old`` (``w·0.0 + x == x`` in IEEE arithmetic)
+        and the round decays the whole array in one multiply; only the
+        ≤ k·|elites| touched slots get the full formula.  Touched slots
+        are visited in sorted (slot) order so the patch and the movement
+        are independent of how membership was counted (int ids vs
+        node-id translation vs shard aggregation).
+
+        The movement sums the old squares sequentially over the whole
+        array and groups the untouched term as ``w² · Σ old²``.  A
+        sequential sum gives the same result in both id domains (the
+        compiled array only adds zero slots); a blocked ``np.dot`` would
+        not.
         """
         if not 0.0 <= smoothing <= 1.0:
             raise ValueError(
                 f"smoothing weight must lie in [0, 1], got {smoothing}"
             )
         keep = 1.0 - smoothing
-        numpy_backend = self._backend == "numpy"
-        if not compute_movement:
-            slot_values = []
-            for slot in sorted(counts):
-                old = self._materialize_slot(slot)
-                new = smoothing * (counts[slot] / size) + keep * old
-                # Plain Python floats keep the patch tuples cheap to
-                # pickle whichever backend produced them.
-                slot_values.append((slot, float(new)))
-            patch = ("round", keep, tuple(slot_values))
-            self._record_round(keep, slot_values)
-            return patch, 0.0
-
-        self._materialize_all()
         p = self._p
-        old_touched = {slot: float(p[slot]) for slot in counts}
-        if numpy_backend:
-            # Movement is a convergence control signal, not a sampled
-            # quantity — the dot product's pairwise summation is fine.
-            total_sq = float(np.dot(p, p))
-            p *= keep
-        else:
-            total_sq = sum([value * value for value in p])
-            p[:] = [keep * value for value in p]
-        touched_sq = 0.0
-        touched_term = 0.0
-        slot_values = []
-        for slot in sorted(counts):
-            old = old_touched[slot]
-            new = smoothing * (counts[slot] / size) + keep * old
-            p[slot] = new
-            slot_values.append((slot, new))
-            touched_sq += old * old
-            touched_term += (new - old) ** 2
-        # The decay was applied in place: record no pending round, but
-        # still hand the caller the patch a mirror needs to replay it.
-        movement = smoothing * smoothing * (total_sq - touched_sq) + touched_term
-        return ("round", keep, tuple(slot_values)), movement
-
-    def _record_round(self, keep: float, slot_values: Sequence[tuple]) -> None:
-        """Book one pending decay round + its touched-slot overwrites."""
-        if self._backend == "numpy":
-            # Eager application: one vectorized multiply per round keeps
-            # the per-slot decay chain (left-to-right factor order)
-            # IEEE-identical to the lazy path, with no pending rounds to
-            # materialize later.
-            p = self._p
-            p *= keep
-            for slot, value in slot_values:
-                p[slot] = value
-            return
-        self._keeps.append(keep)
-        rounds = len(self._keeps)
-        if self._stale_rounds == 0:
-            self._last_touched = tuple(slot for slot, _ in slot_values)
-            self._slot_materialized = False
-        self._stale_rounds += 1
-        p = self._p
-        age = self._age
-        for slot, value in slot_values:
-            p[slot] = value
-            age[slot] = rounds
+        slots = sorted(counts)
+        old_values = p[slots].tolist()
+        # Plain Python floats keep the patch tuples cheap to pickle.
+        slot_values = tuple(
+            (slot, smoothing * (counts[slot] / size) + keep * old)
+            for slot, old in zip(slots, old_values)
+        )
+        movement = 0.0
+        if compute_movement:
+            total_sq = sum((p * p).tolist())
+            touched_sq = 0.0
+            touched_term = 0.0
+            for (_, new), old in zip(slot_values, old_values):
+                touched_sq += old * old
+                touched_term += (new - old) ** 2
+            movement = (
+                smoothing * smoothing * (total_sq - touched_sq) + touched_term
+            )
+        self.apply_round(keep, slot_values)
+        return ("round", keep, slot_values), movement
 
     def apply_round(self, keep: float, slot_values: Sequence[tuple]) -> None:
-        """Replay a refit round produced by another vector instance.
+        """Apply one refit round: decay every slot, overwrite the touched.
 
         Stage-pool workers hold a mirror of each start node's vector and
         keep it synchronized by replaying the parent's round patches
-        (``keep`` + the touched ``(slot, value)`` pairs).  The pending
-        decay is recorded exactly like the parent's, so a mirror's lazily
-        materialized values stay bit-identical to the parent's.
+        (``keep`` + the touched ``(slot, value)`` pairs) through the same
+        arithmetic, so a mirror stays bit-identical to the parent.
         """
-        self._record_round(keep, list(slot_values))
+        p = self._p
+        p *= keep
+        for slot, value in slot_values:
+            p[slot] = value
 
     # ------------------------------------------------------------------
     def snapshot(self) -> list[float]:
-        """Materialized copy of the flat array (backtracking, full resync)."""
-        self._materialize_all()
-        if self._backend == "numpy":
-            return self._p.tolist()
-        return list(self._p)
+        """Copy of the flat array as plain floats (backtracking, resync)."""
+        return self._p.tolist()
 
     def restore(self, snapshot: Sequence[float]) -> None:
         """Reset the vector to a previous :meth:`snapshot` (or any full array).
 
-        Restores in place so borrowed :attr:`array` references (the fast
-        sampler holds one during a stage) stay valid.  The installed
-        values are taken as fully materialized: pending decay rounds are
-        considered folded in.
+        Restores in place so borrowed :attr:`array` references (the
+        samplers hold one during a stage) stay valid.
         """
         if len(snapshot) != len(self._p):
             raise ValueError(
@@ -572,11 +396,6 @@ class SelectionProbabilities:
                 f"vector length {len(self._p)}"
             )
         self._p[:] = snapshot
-        rounds = len(self._keeps)
-        self._age = [rounds] * len(self._p)
-        self._stale_rounds = 0
-        self._last_touched = ()
-        self._slot_materialized = False
 
     def kl_distance(self, other: "SelectionProbabilities") -> float:
         """Bernoulli-factorized KL distance between two vectors.
@@ -588,11 +407,9 @@ class SelectionProbabilities:
         def _clamp(x: float) -> float:
             return min(1.0 - 1e-12, max(1e-12, x))
 
-        self._materialize_all()
-        p_arr = self._p
         total = 0.0
-        for node, slot in zip(self._candidates, self._candidate_ids):
-            p = _clamp(p_arr[slot])
+        for node, value in self.as_dict().items():
+            p = _clamp(value)
             q = _clamp(other.probability(node))
             total += p * math.log(p / q)
             total += (1.0 - p) * math.log((1.0 - p) / (1.0 - q))

@@ -73,7 +73,11 @@ from repro.graph.io import (
 )
 from repro.graph.stats import summarize
 from repro.core.willingness import ENGINES
-from repro.runtime import ExecutionContext, request_from_spec
+from repro.runtime import (
+    ExecutionContext,
+    request_from_spec,
+    valid_spec_keys,
+)
 from repro.runtime.router import MODES
 
 __all__ = ["main", "build_parser"]
@@ -296,11 +300,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _solver_kwargs(args) -> dict:
+    """``--budget`` / ``--m`` as solver kwargs, if the solver takes them."""
+    accepted = valid_spec_keys(args.solver)
     kwargs = {}
-    if args.budget is not None:
-        kwargs["budget"] = args.budget
-    if args.m is not None:
-        kwargs["m"] = args.m
+    for flag, key in (("--budget", "budget"), ("--m", "m")):
+        value = getattr(args, key)
+        if value is None:
+            continue
+        if key not in accepted:
+            raise SystemExit(
+                f"{flag} does not apply to solver {args.solver!r}"
+            )
+        kwargs[key] = value
     return kwargs
 
 
@@ -395,6 +406,7 @@ def main(argv=None) -> int:
         return _compile_command(args)
 
     if args.command == "solve":
+        solver_kwargs = _solver_kwargs(args)
         graph = _load_graph(args.graph)
         k_max = args.k_max if args.k_max is not None else args.k
         with ExecutionContext(
@@ -409,7 +421,7 @@ def main(argv=None) -> int:
                 required=args.require,
                 rng=args.seed,
                 context=context,
-                **_solver_kwargs(args),
+                **solver_kwargs,
             )
         for k, result in results.items():
             members = ", ".join(map(str, result.solution.sorted_members()))

@@ -107,10 +107,9 @@ _DELTA_LOG_LIMIT = 64
 
 def discard_vector_mirror(token: str) -> None:
     """Drop the vector engine's cached numpy mirror of ``token``, if any."""
-    try:
-        from repro.vector.arrays import discard_vector_graph
-    except ImportError:  # pragma: no cover - numpy-less install
-        return
+    # Imported here: repro.vector imports this module.
+    from repro.vector.arrays import discard_vector_graph
+
     discard_vector_graph(token)
 
 

@@ -192,7 +192,6 @@ class _WorkerSolveState:
                 problem.k,
                 index_of=compiled.index_of,
                 size=compiled.number_of_nodes,
-                backend="numpy" if self.engine == "vector" else "list",
             )
             vectors = []
             for initial in spec["vectors"]:

@@ -123,9 +123,9 @@ class ShardedStageExecutor(StageExecutor):
         solver = ctx.solver
         if not ctx.sampler.is_compiled:
             raise ValueError(
-                "stage-sharded execution requires engine='compiled': the "
-                "workers hold the detached flat arrays, which cannot back "
-                "the dict-based reference path"
+                "stage-sharded execution requires engine='compiled' or "
+                "engine='vector': the workers hold the detached flat "
+                "arrays, which cannot back the dict-based reference path"
             )
         problem = ctx.problem
         self._counters0 = self.pool.counters()

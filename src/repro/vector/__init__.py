@@ -34,15 +34,6 @@ integer quantities (members, sample counts, stages).
 
 from __future__ import annotations
 
-try:
-    import numpy  # noqa: F401
-except ImportError as _error:  # pragma: no cover - depends on environment
-    raise ImportError(
-        "engine='vector' requires numpy, which is a declared dependency "
-        "(see pyproject.toml) but is not importable in this environment; "
-        "install numpy or use engine='compiled'"
-    ) from _error
-
 from repro.vector.arrays import VectorGraph, vector_graph_for
 from repro.vector.evaluator import VectorWillingnessEvaluator
 

@@ -125,3 +125,27 @@ def index_cache(tmp_path):
     path = tmp_path / "graph-cache"
     path.mkdir()
     return path
+
+
+def _eager_reference(rounds, length, k=3):
+    """Pure-Python CE refit chain over an all-candidate vector.
+
+    Starts from the homogeneous prior ``(k − 1)/length`` and replays
+    each ``(smoothing, counts, size)`` round as the textbook loop: every
+    slot times ``keep``, then the touched slots (in sorted order) get
+    Eq. (4) + smoothing from their pre-round value.
+    """
+    probs = [(k - 1) / length] * length
+    for smoothing, counts, size in rounds:
+        keep = 1.0 - smoothing
+        old = {slot: probs[slot] for slot in counts}
+        probs[:] = [keep * value for value in probs]
+        for slot in sorted(counts):
+            probs[slot] = smoothing * (counts[slot] / size) + keep * old[slot]
+    return probs
+
+
+@pytest.fixture
+def eager_reference():
+    """Expose the pure-Python CE refit chain to tests."""
+    return _eager_reference

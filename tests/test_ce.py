@@ -293,29 +293,15 @@ class TestBacktrackController:
         assert not controller.observe(probs, movement=0.0)
 
 
-class TestLazyDecay:
-    """The lazily-applied (1−w) decay must equal the eager pass bitwise.
+class TestRefitDecayChain:
+    """Every refit round must equal the pure-Python chain bitwise.
 
-    The eager reference below replays the historical implementation:
-    every update multiplies the whole array by ``keep`` with one
-    comprehension, then overwrites the touched slots.  The lazy path
-    (compute_movement=False) must materialize to the exact same floats —
-    successive factored multiplies, never an accumulated scale product.
+    The ``eager_reference`` fixture replays each round as the textbook
+    loop: multiply every slot by ``keep``, then overwrite the touched
+    slots.  The float64 array must hold the exact same floats — per
+    slot the chain of factored multiplies ``((p·k₁)·k₂)·…``, never an
+    accumulated scale product.
     """
-
-    @staticmethod
-    def _eager_reference(rounds, length, k=3):
-        probs = [0.0] * length
-        initial = (k - 1) / length
-        for slot in range(length):
-            probs[slot] = initial
-        for smoothing, counts, size in rounds:
-            keep = 1.0 - smoothing
-            old = {slot: probs[slot] for slot in counts}
-            probs[:] = [keep * value for value in probs]
-            for slot in sorted(counts):
-                probs[slot] = smoothing * (counts[slot] / size) + keep * old[slot]
-        return probs
 
     @staticmethod
     def _rounds(count, length, seed=0):
@@ -327,7 +313,7 @@ class TestLazyDecay:
             rounds.append((rng.choice([0.9, 0.7, 0.5]), counts, 3))
         return rounds
 
-    def test_lazy_matches_eager_without_reads(self):
+    def test_rounds_match_reference_chain(self, eager_reference):
         length = 32
         rounds = self._rounds(6, length)
         vector = SelectionProbabilities(
@@ -335,62 +321,70 @@ class TestLazyDecay:
         )
         for smoothing, counts, size in rounds:
             vector.update_from_counts(counts, size, smoothing)
-        assert vector.snapshot() == self._eager_reference(rounds, length)
+        assert vector.snapshot() == eager_reference(rounds, length)
 
-    def test_lazy_matches_eager_with_interleaved_reads(self):
-        """Per-slot reads between rounds must not perturb materialization."""
+    def test_reads_between_rounds_match_reference_chain(
+        self, eager_reference
+    ):
+        """Reads between rounds see the chain's values and change none."""
         length = 32
         rounds = self._rounds(6, length, seed=1)
         vector = SelectionProbabilities(
             range(length), 3, index_of={i: i for i in range(length)}
         )
         rng = __import__("random").Random(9)
-        for smoothing, counts, size in rounds:
+        for done, (smoothing, counts, size) in enumerate(rounds, start=1):
             vector.update_from_counts(counts, size, smoothing)
             # Probe a few slots (reference-path style single reads) and
             # occasionally the whole array (compiled-path draws).
+            expected = eager_reference(rounds[:done], length)
             for slot in rng.sample(range(length), 3):
-                vector.probability(slot)
+                assert vector.probability(slot) == expected[slot]
             if rng.random() < 0.5:
-                assert vector.array is not None
-        assert vector.snapshot() == self._eager_reference(rounds, length)
+                assert list(vector.array) == expected
+        assert vector.snapshot() == eager_reference(rounds, length)
 
-    def test_movement_path_matches_lazy_values(self):
-        """compute_movement=True (eager) and False (lazy) agree bitwise."""
+    def test_movement_path_matches_reference_chain(self, eager_reference):
+        """compute_movement=True refits the same values as False."""
         length = 16
         rounds = self._rounds(5, length, seed=2)
-        lazy = SelectionProbabilities(
+        plain = SelectionProbabilities(
             range(length), 3, index_of={i: i for i in range(length)}
         )
-        eager = SelectionProbabilities(
+        moving = SelectionProbabilities(
             range(length), 3, index_of={i: i for i in range(length)}
         )
         for smoothing, counts, size in rounds:
-            lazy.update_from_counts(counts, size, smoothing)
-            eager.update_from_counts(
+            plain.update_from_counts(counts, size, smoothing)
+            moving.update_from_counts(
                 counts, size, smoothing, compute_movement=True
             )
-        assert lazy.snapshot() == eager.snapshot()
+        expected = eager_reference(rounds, length)
+        assert plain.snapshot() == expected
+        assert moving.snapshot() == expected
 
-    def test_replicate_preserves_pending_rounds(self):
+    def test_replicate_copies_refitted_values(self, eager_reference):
         length = 8
         vector = SelectionProbabilities(
             range(length), 3, index_of={i: i for i in range(length)}
         )
-        vector.update_from_counts({0: 1, 1: 1, 2: 1}, 1, 0.9)
+        round_ = (0.9, {0: 1, 1: 1, 2: 1}, 1)
+        vector.update_from_counts(round_[1], round_[2], round_[0])
         clone = vector.replicate()
-        assert clone.snapshot() == vector.snapshot()
+        assert clone.snapshot() == eager_reference([round_], length)
+        clone.update_from_counts({3: 1}, 1, 0.5)
+        assert vector.snapshot() == eager_reference([round_], length)
 
-    def test_cross_engine_draws_bit_identical_under_lazy_decay(self):
-        """Seeded CBAS-ND runs stay engine-identical with lazy decay.
+    def test_cross_engine_draws_bit_identical_over_many_rounds(self):
+        """Seeded CBAS-ND runs stay engine-identical over many rounds.
 
-        Many stages on a small budget maximize pending-round depth (some
-        starts skip stages, accumulating multiple lazy rounds) — the
-        regime most likely to expose a decay that is *almost* the eager
-        value.  Both engines share the lazy implementation, but they
-        read through different paths (flat array vs per-node dict
-        probes), so any materialization drift would desynchronize the
-        weighted draws and the resulting groups.
+        Many stages on a small budget stack many decay rounds onto each
+        slot — the regime most likely to expose a decay that is *almost*
+        the chain's value.  Both engines share the refit, but they read
+        through different paths (a list per draw batch vs per-node
+        probes) and different id domains (compiled vs local), so any
+        drift would desynchronize the weighted draws and the resulting
+        groups.
         """
         from repro.algorithms.cbas_nd import CBASND
         from repro.core.problem import WASOProblem
@@ -409,3 +403,26 @@ class TestLazyDecay:
             for start, vector in compiled.last_warm_state.vectors.items():
                 twin = reference.last_warm_state.vectors[start]
                 assert vector.as_dict() == twin.as_dict()
+
+
+class TestPlainFloatReads:
+    @pytest.mark.parametrize("engine", ["reference", "compiled", "vector"])
+    def test_reads_and_patches_are_plain_floats(self, engine):
+        """No numpy scalar escapes a vector, whichever engine built it."""
+        from repro.algorithms.cbas_nd import CBASND
+        from repro.core.problem import WASOProblem
+        from repro.graph.generators import facebook_like
+
+        problem = WASOProblem(graph=facebook_like(60, seed=5), k=4)
+        solver = CBASND(budget=80, m=3, stages=2, engine=engine)
+        solver.solve(problem, rng=1)
+        vector = next(iter(solver.last_warm_state.vectors.values()))
+        view = vector.as_dict()
+        assert all(type(value) is float for value in view.values())
+        assert all(type(value) is float for value in vector.snapshot())
+        assert type(vector.probability(next(iter(view)))) is float
+        patch, movement = vector.update_from_counts(
+            {0: 2, 3: 1}, 2, 0.5, compute_movement=True
+        )
+        assert type(patch[1]) is float and type(movement) is float
+        assert all(type(value) is float for _, value in patch[2])

@@ -77,6 +77,28 @@ class TestSolve:
         assert "k=4" in printed
         assert "W=" in printed
 
+    def test_sampling_flags_rejected_by_solvers_without_them(
+        self, graph_file
+    ):
+        for solver in ("dgreedy", "exact-bnb", "ip", "paper-ip"):
+            for flag in ("--budget", "--m"):
+                with pytest.raises(SystemExit) as excinfo:
+                    main(
+                        [
+                            "solve",
+                            str(graph_file),
+                            "--k",
+                            "4",
+                            "--solver",
+                            solver,
+                            flag,
+                            "10",
+                        ]
+                    )
+                message = str(excinfo.value)
+                assert flag in message and repr(solver) in message
+                assert "\n" not in message
+
     def test_solve_k_range(self, graph_file, capsys):
         code = main(
             [

@@ -337,7 +337,7 @@ class TestShardedSolvers:
             budget=60, m=4, stages=2, engine="reference",
             context=ExecutionContext(executor=executor),
         )
-        with pytest.raises(ValueError, match="compiled"):
+        with pytest.raises(ValueError, match="compiled.*vector"):
             solver.solve(problem, rng=1)
 
     def test_quality_comparable_to_serial(self, small_facebook, stage_pool):

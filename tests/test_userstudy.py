@@ -1,9 +1,12 @@
 """Tests for the simulated user study (§5.2)."""
 
+import dataclasses
 import random
 
 import pytest
 
+from repro.algorithms.exact import ExactBnB
+from repro.algorithms.ip import IPSolver
 from repro.core.problem import WASOProblem
 from repro.graph.generators import random_social_graph
 from repro.userstudy import (
@@ -114,18 +117,33 @@ class TestOpinions:
 
 
 class TestStudy:
+    CONFIG = StudyConfig(
+        participants=6,
+        network_sizes=(15, 20),
+        group_sizes=(5, 7),
+        base_k=5,
+        base_n=15,
+        solver_budget=120,
+        seed=11,
+    )
+
     @pytest.fixture(scope="class")
     def outcome(self):
-        config = StudyConfig(
-            participants=6,
-            network_sizes=(15, 20),
-            group_sizes=(5, 7),
-            base_k=5,
-            base_n=15,
-            solver_budget=120,
-            seed=11,
+        # ExactBnB finds the same optima as the default IPSolver at these
+        # sizes in a tenth of the time; test_exact_oracle_matches_ip_solver
+        # keeps that swap checked.
+        return UserStudy(config=self.CONFIG, optimum=ExactBnB()).run()
+
+    def test_exact_oracle_matches_ip_solver(self, outcome):
+        """The first participant's n=15 cell, re-run on the IPSolver oracle."""
+        config = dataclasses.replace(
+            self.CONFIG, participants=1, network_sizes=(15,), group_sizes=()
         )
-        return UserStudy(config=config).run()
+        checked = UserStudy(config=config, optimum=IPSolver()).run()
+        for mode in ("ip-i", "ip-ni"):
+            assert checked.by_n[mode][15].quality[0] == pytest.approx(
+                outcome.by_n[mode][15].quality[0], rel=1e-12
+            )
 
     def test_lambda_histogram_sums_to_one(self, outcome):
         histogram = outcome.lambda_histogram()

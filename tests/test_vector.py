@@ -11,8 +11,8 @@ Contract under test (see ``repro/vector/``):
   value, it only re-orders the same additions);
 * within the engine, seeded runs are bit-reproducible — serial, and
   stage-sharded at any worker count (positional Philox randomness);
-* the numpy-backed :class:`SelectionProbabilities` refit is
-  IEEE-identical to the list backend.
+* the float64 :class:`SelectionProbabilities` refit is IEEE-identical
+  to the pure-Python refit chain.
 
 The differential suite sweeps every scenario transformation (couples /
 foes / themed / filters / separate-groups) through all three randomized
@@ -478,102 +478,80 @@ class TestVectorDeterminism:
 # Numpy-backed SelectionProbabilities
 # ----------------------------------------------------------------------
 class TestNumpyProbabilityBackend:
-    def _pair(self, n=40, k=5):
-        compiled = facebook_like(n, seed=13).compiled()
-        nodes = list(compiled.nodes)
-        plain = SelectionProbabilities(
-            nodes, k, index_of=compiled.index_of, size=compiled.number_of_nodes
-        )
-        vectorized = SelectionProbabilities(
-            nodes,
-            k,
+    N = 40
+    K = 5
+
+    def _vector(self):
+        compiled = facebook_like(self.N, seed=13).compiled()
+        return SelectionProbabilities(
+            list(compiled.nodes),
+            self.K,
             index_of=compiled.index_of,
             size=compiled.number_of_nodes,
-            backend="numpy",
         )
-        return plain, vectorized
 
-    def test_backend_validated(self):
-        with pytest.raises(ValueError, match="backend"):
-            SelectionProbabilities(["a"], 1, backend="torch")
-
-    def test_refit_rounds_bit_identical(self):
-        plain, vectorized = self._pair()
+    def test_refit_rounds_bit_identical(self, eager_reference):
+        vector = self._vector()
         rng = random.Random(3)
+        rounds = []
         for _ in range(6):
             counts = {slot: rng.randrange(1, 4) for slot in rng.sample(range(30), 8)}
-            plain.update_from_counts(counts, 10, smoothing=0.7)
-            vectorized.update_from_counts(counts, 10, smoothing=0.7)
-        assert vectorized.snapshot() == plain.snapshot()
+            vector.update_from_counts(counts, 10, smoothing=0.7)
+            rounds.append((0.7, counts, 10))
+        assert vector.snapshot() == eager_reference(rounds, self.N, k=self.K)
 
-    def test_patches_bit_identical_and_plain_floats(self):
-        plain, vectorized = self._pair()
-        patch_a, _ = plain.update_from_counts({3: 2, 7: 1}, 4, smoothing=0.6)
-        patch_b, _ = vectorized.update_from_counts(
-            {3: 2, 7: 1}, 4, smoothing=0.6
+    def test_patches_bit_identical_and_plain_floats(self, eager_reference):
+        vector = self._vector()
+        counts = {3: 2, 7: 1}
+        patch, _ = vector.update_from_counts(counts, 4, smoothing=0.6)
+        expected = eager_reference([(0.6, counts, 4)], self.N, k=self.K)
+        assert patch == (
+            "round", 1.0 - 0.6, ((3, expected[3]), (7, expected[7]))
         )
-        assert patch_a == patch_b
-        assert all(type(value) is float for _, value in patch_b[2])
+        assert all(type(value) is float for _, value in patch[2])
 
-    def test_movement_path_matches(self):
-        plain, vectorized = self._pair()
-        _, movement_a = plain.update_from_counts(
-            {1: 3, 9: 1}, 5, smoothing=0.5, compute_movement=True
+    def test_movement_path_matches(self, eager_reference):
+        vector = self._vector()
+        before = vector.snapshot()
+        counts = {1: 3, 9: 1}
+        _, movement = vector.update_from_counts(
+            counts, 5, smoothing=0.5, compute_movement=True
         )
-        _, movement_b = vectorized.update_from_counts(
-            {1: 3, 9: 1}, 5, smoothing=0.5, compute_movement=True
-        )
-        assert movement_b == pytest.approx(movement_a, rel=1e-12)
-        assert vectorized.snapshot() == plain.snapshot()
+        after = eager_reference([(0.5, counts, 5)], self.N, k=self.K)
+        assert vector.snapshot() == after
+        # Pure-Python sequential sums, grouped as the refit groups them:
+        # w² · (Σ old² − Σ touched old²) + Σ touched (new − old)².
+        total_sq = sum([value * value for value in before])
+        touched_sq = 0.0
+        touched_term = 0.0
+        for slot in sorted(counts):
+            touched_sq += before[slot] * before[slot]
+            touched_term += (after[slot] - before[slot]) ** 2
+        assert movement == 0.5 * 0.5 * (total_sq - touched_sq) + touched_term
 
-    def test_replicate_and_restore(self):
-        _, vectorized = self._pair()
-        vectorized.update_from_counts({2: 1}, 2, smoothing=0.4)
-        clone = vectorized.replicate()
-        assert clone.snapshot() == vectorized.snapshot()
+    def test_replicate_and_restore(self, eager_reference):
+        vector = self._vector()
+        vector.update_from_counts({2: 1}, 2, smoothing=0.4)
+        clone = vector.replicate()
+        assert clone.snapshot() == vector.snapshot()
+        assert clone.snapshot() == eager_reference(
+            [(0.4, {2: 1}, 2)], self.N, k=self.K
+        )
         clone.update_from_counts({4: 2}, 2, smoothing=0.4)
-        assert clone.snapshot() != vectorized.snapshot()
-        saved = vectorized.snapshot()
-        vectorized.update_from_counts({5: 1}, 1, smoothing=0.9)
-        vectorized.restore(saved)
-        assert vectorized.snapshot() == saved
+        assert clone.snapshot() != vector.snapshot()
+        saved = vector.snapshot()
+        vector.update_from_counts({5: 1}, 1, smoothing=0.9)
+        vector.restore(saved)
+        assert vector.snapshot() == saved
 
-    def test_elite_bincount_matches_dict_counts(self):
-        problem = WASOProblem(graph=facebook_like(60, seed=21), k=4)
-        for engine, backend in (("compiled", "list"), ("vector", "numpy")):
-            evaluator = evaluator_for(problem.graph, engine)
-            from repro.algorithms.sampling import ExpansionSampler
-
-            sampler = ExpansionSampler(problem, evaluator)
-            rng = random.Random(8)
-            start = next(iter(problem.candidates()))
-            samples = [
-                s
-                for s in sampler.draw_batch({start}, rng, 12)
-                if s is not None
-            ]
-            compiled = problem.graph.compiled()
-            vector = SelectionProbabilities(
-                problem.candidates(),
-                problem.k,
-                index_of=compiled.index_of,
-                size=compiled.number_of_nodes,
-                backend=backend,
-            )
-            vector.update(samples, rho=0.5, smoothing=0.5)
-            if backend == "numpy":
-                numpy_probs = vector.snapshot()
-            else:
-                list_probs = vector.snapshot()
-        # Same samples (seeded draws are engine-identical on the scalar
-        # path), same Eq. (4) arithmetic, different counting machinery.
-        assert numpy_probs == list_probs
-
-    def test_gamma_monotone_and_as_dict(self):
-        _, vectorized = self._pair()
-        assert vectorized.gamma == -math.inf
-        vectorized.observe_stage_gamma(4.0)
-        vectorized.observe_stage_gamma(2.0)
-        assert vectorized.gamma == 4.0
-        probabilities = vectorized.as_dict()
-        assert all(0.0 <= p <= 1.0 for p in probabilities.values())
+    def test_gamma_monotone_and_as_dict(self, eager_reference):
+        vector = self._vector()
+        assert vector.gamma == -math.inf
+        vector.observe_stage_gamma(4.0)
+        vector.observe_stage_gamma(2.0)
+        assert vector.gamma == 4.0
+        vector.update_from_counts({6: 1}, 3, smoothing=0.8)
+        # Candidates are the compiled nodes in id order.
+        assert list(vector.as_dict().values()) == eager_reference(
+            [(0.8, {6: 1}, 3)], self.N, k=self.K
+        )
