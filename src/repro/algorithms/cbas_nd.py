@@ -146,7 +146,11 @@ class CBASND(CBAS):
             warm_flags.append(False)
             if template is None:
                 template = SelectionProbabilities(
-                    problem.candidates(),
+                    # Every slot is a candidate of an unconstrained
+                    # compiled-domain vector: no per-node list needed.
+                    None
+                    if compiled is not None and not problem.forbidden
+                    else problem.candidates(),
                     problem.k,
                     index_of=index_of,
                     size=(

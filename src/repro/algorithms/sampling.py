@@ -39,6 +39,7 @@ same start node.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from bisect import bisect_left
@@ -273,7 +274,6 @@ class ExpansionSampler:
         self.problem = problem
         self.evaluator = evaluator
         self.graph = problem.graph
-        self._allowed = set(problem.candidates())
         compiled = getattr(evaluator, "compiled", None)
         self._compiled = compiled
         if compiled is not None:
@@ -284,12 +284,16 @@ class ExpansionSampler:
             # untouched this draw.  No per-draw clearing needed.
             self._status = [0] * n
             self._draw_serial = 0
-            allowed_mask = bytearray(n)
-            index_of = compiled.index_of
-            for node in self._allowed:
-                allowed_mask[index_of[node]] = 1
-            self._allowed_mask = allowed_mask
+            # Only forbidden nodes need masking; an unconstrained problem
+            # builds no per-node allowed state at all.
             self._check_allowed = bool(problem.forbidden)
+            self._allowed_mask: "bytearray | None" = None
+            if self._check_allowed:
+                allowed_mask = bytearray(b"\x01") * n
+                index_of = compiled.index_of
+                for node in problem.forbidden:
+                    allowed_mask[index_of[node]] = 0
+                self._allowed_mask = allowed_mask
             # Per-seed cache: (base willingness, seed connected,
             # member indices, initial frontier) — all deterministic
             # functions of the seed set, shared by every draw from it.
@@ -302,6 +306,16 @@ class ExpansionSampler:
             self.vector_fallback_draws = 0
 
     # ------------------------------------------------------------------
+    @functools.cached_property
+    def _allowed(self) -> set:
+        """Allowed node ids as a set, built on first use.
+
+        The reference path tests frontier membership against it, and
+        WASO-dis seeds its frontier in its iteration order on both
+        paths; connected compiled draws never need it.
+        """
+        return set(self.problem.candidates())
+
     @property
     def is_compiled(self) -> bool:
         """True when draws run on the compiled int-indexed kernel."""
@@ -528,7 +542,7 @@ class ExpansionSampler:
             seen = set(member_set)
             for index in member_indices:
                 for other in row_targets[index]:
-                    if other not in seen and allowed[other]:
+                    if other not in seen and (allowed is None or allowed[other]):
                         seen.add(other)
                         frontier.append(other)
         else:

@@ -6,6 +6,18 @@ scores of incident edges, then extracts the ``m`` largest with a heap
 attendees are always promoted to start nodes — the user study's
 "with initiator" runs state that CBAS-ND "always chooses the user as a
 start node".
+
+The reference engine runs that heap over every candidate on each call:
+``heapq.nlargest`` keyed on ``(potential, repr(node))``, which keeps
+candidate (graph) order among equal keys.  It is the oracle.  The
+compiled and vector engines read the same order from a ranking kept on
+the compiled graph per generation
+(:meth:`~repro.graph.compiled.CompiledGraph.start_ranking`): potential
+descending, then ``repr`` descending, then compiled id ascending.  A
+call walks it from the top and skips required and forbidden nodes, so
+phase 1 costs O(m + |required| + |forbidden|) instead of an O(n) scan.
+A delta batch moves only the potentials of its ops' endpoints, so the
+ranking follows the graph's delta log by moving those nodes alone.
 """
 
 from __future__ import annotations
@@ -39,8 +51,8 @@ def select_start_nodes(
     interest plus incident weighted tightness.  Required nodes come first
     regardless of score.  Returns fewer than ``m`` nodes only when the
     graph has fewer candidates.  With a :class:`FastWillingnessEvaluator`
-    each potential is an O(1) lookup into the compiled index's
-    precomputed array.
+    the nodes come off the compiled graph's cached ranking; both paths
+    give the same list.
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
@@ -48,6 +60,18 @@ def select_start_nodes(
     chosen: list[NodeId] = list(required)
     if len(chosen) >= m:
         return chosen[:m]
+
+    compiled = getattr(evaluator, "compiled", None)
+    if compiled is not None:
+        skip = problem.required | problem.forbidden
+        nodes = compiled.nodes
+        for index in compiled.start_ranking():
+            node = nodes[index]
+            if node not in skip:
+                chosen.append(node)
+                if len(chosen) == m:
+                    break
+        return chosen
 
     taken = set(chosen)
     scored = (

@@ -101,6 +101,8 @@ class SelectionProbabilities:
     ----------
     candidates:
         Nodes the vector ranges over (the problem's allowed nodes).
+        ``None`` in the compiled domain means every slot, which is what
+        an unconstrained problem gets: no per-node list is built.
     k:
         Group size; the paper initializes every entry to ``(k − 1)/|V|``
         (homogeneous — stage 1 of CBAS-ND behaves exactly like CBAS).
@@ -131,14 +133,21 @@ class SelectionProbabilities:
         index_of: "Mapping[NodeId, int] | None" = None,
         size: "int | None" = None,
     ) -> None:
-        nodes = list(candidates)
-        if not nodes:
+        if candidates is None:
+            if index_of is None:
+                raise ValueError("candidates=None needs the compiled domain")
+            nodes = None
+            count = len(index_of) if size is None else size
+        else:
+            nodes = list(candidates)
+            count = len(nodes)
+        if not count:
             raise ValueError("need at least one candidate node")
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
-        initial = min(1.0, (k - 1) / len(nodes)) if len(nodes) > 1 else 1.0
+        initial = min(1.0, (k - 1) / count) if count > 1 else 1.0
         if initial <= 0.0:
-            initial = 1.0 / len(nodes)
+            initial = 1.0 / count
         if index_of is None:
             #: identity of the shared compiled mapping (None = local domain)
             self.index_map = None
@@ -148,10 +157,16 @@ class SelectionProbabilities:
             self.index_map = index_of
             self._index_of = index_of
             length = len(index_of) if size is None else size
+        #: ``None`` (with ``_candidate_ids``) when every slot is a
+        #: candidate; :meth:`as_dict` then reads the nodes off ``index_of``.
         self._candidates = nodes
-        self._candidate_ids = [self._index_of[node] for node in nodes]
-        self._p = np.zeros(length, dtype=np.float64)
-        self._p[self._candidate_ids] = initial
+        if nodes is None:
+            self._candidate_ids = None
+            self._p = np.full(length, initial, dtype=np.float64)
+        else:
+            self._candidate_ids = [self._index_of[node] for node in nodes]
+            self._p = np.zeros(length, dtype=np.float64)
+            self._p[self._candidate_ids] = initial
         self.gamma = -math.inf  # monotone elite threshold (pseudo-code 36-39)
 
     # ------------------------------------------------------------------
@@ -223,6 +238,9 @@ class SelectionProbabilities:
 
     def as_dict(self) -> dict[NodeId, float]:
         """Dict view ``{candidate: probability}`` (candidate input order)."""
+        if self._candidates is None:
+            # Every slot: ``index_of`` lists the nodes in id order.
+            return dict(zip(self._index_of, self._p.tolist()))
         return dict(
             zip(self._candidates, self._p[self._candidate_ids].tolist())
         )

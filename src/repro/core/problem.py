@@ -196,7 +196,7 @@ class WASOProblem:
                     f"no component containing the required nodes has >= "
                     f"{self.k} allowed nodes"
                 )
-        elif max(sizes) < self.k:
+        elif compiled.largest_component_size() < self.k:
             raise InfeasibleProblemError(
                 f"no connected component of allowed nodes has >= {self.k} nodes"
             )

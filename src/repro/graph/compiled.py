@@ -59,12 +59,26 @@ of a full re-install (see :mod:`repro.parallel`).  Every patch recipe
 reproduces, bit-for-bit, the arrays a fresh :meth:`from_graph` of the
 mutated source would build — ``tests/test_graph_deltas.py`` holds that
 line on both engines.
+
+Start-node ranking
+------------------
+:meth:`CompiledGraph.start_ranking` keeps every node in CBAS phase-1
+order (potential descending, then ``repr`` descending, then id), so a
+solve's start selection reads the top of a list instead of scanning n
+potentials.  Like the vector engine's numpy mirror it is derived state
+that follows the delta log: ``apply_deltas`` does no ranking work, and
+the next call moves only the endpoints of the ops logged since the
+generation it was built at, or rebuilds when the log no longer covers
+that span.  It is never pickled or saved: unpickled, loaded and
+detached copies start without one, and :meth:`close` drops it.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+
+import numpy as np
 
 from repro.exceptions import (
     DuplicateNodeError,
@@ -158,6 +172,8 @@ class CompiledGraph:
         "_row_id_edges",
         "_component_sizes",
         "_component_labels",
+        "_largest_component",
+        "_ranking",
     )
 
     def __init__(
@@ -214,6 +230,10 @@ class CompiledGraph:
         self._row_id_edges: "list | None" = None
         self._component_sizes: "list[int] | None" = None
         self._component_labels: "list[int] | None" = None
+        self._largest_component: "int | None" = None
+        #: ``(generation, order, ranked)`` of the start-node ranking, or
+        #: ``None`` until the first :meth:`start_ranking` call.
+        self._ranking: "tuple | None" = None
         # An in-memory freeze warms the row views now, at compile time —
         # the sampler's first draw must not pay the O(V+E) build.  Only
         # mmap-backed loads (constructed via ``__new__`` in
@@ -368,10 +388,29 @@ class CompiledGraph:
             self._compute_components()
         return self._component_labels
 
+    def largest_component_size(self) -> int:
+        """Size of the largest connected component (0 when empty).
+
+        Kept next to the component labels and updated by the deltas
+        that keep those labels, so the per-solve feasibility check of an
+        unconstrained problem reads one int instead of taking ``max``
+        over n sizes.
+        """
+        if self._largest_component is None:
+            if self._component_sizes is None:
+                self._compute_components()
+            else:
+                # Labels that arrived without it (unpickled or loaded).
+                self._largest_component = max(
+                    self._component_sizes, default=0
+                )
+        return self._largest_component
+
     def _compute_components(self) -> None:
         n = len(self.nodes)
         sizes = [0] * n
         label = [-1] * n
+        largest = 0
         row_targets = self.row_targets
         for root in range(n):
             if label[root] != -1:
@@ -389,8 +428,132 @@ class CompiledGraph:
             size = len(component)
             for index in component:
                 sizes[index] = size
+            if size > largest:
+                largest = size
         self._component_sizes = sizes
         self._component_labels = label
+        self._largest_component = largest
+
+    # ------------------------------------------------------------------
+    # Start-node ranking — derived state that follows the delta log.
+    # ------------------------------------------------------------------
+    def start_ranking(self) -> list[int]:
+        """Every compiled id in CBAS phase-1 order, best first.
+
+        The order is ``potential`` descending, then ``repr(node)``
+        descending, then id ascending: what ``heapq.nlargest`` keyed on
+        ``(potential, repr(node))`` gives over the nodes in id order.
+        It is built on first use and kept per generation.  After
+        :meth:`apply_deltas`, the next call moves only the endpoints of
+        the ops logged since the cached generation, each with binary
+        searches and one list rotation, and rebuilds in full only when
+        the delta log no longer covers the span.  The list is live:
+        read it, but do not keep it across mutations.
+        """
+        ranking = self._ranking
+        if ranking is not None and ranking[0] != self.generation:
+            batches = self.delta_batches_since(ranking[0])
+            if batches is None:
+                ranking = None
+            else:
+                ranking = self._refresh_ranking(ranking[1], ranking[2], batches)
+        if ranking is None:
+            ranking = self._build_ranking()
+        self._ranking = ranking
+        return ranking[1]
+
+    def _build_ranking(self) -> tuple:
+        """Full ranking: one stable sort, then ``repr`` inside tie runs."""
+        potential = np.asarray(self.potential, dtype=np.float64)
+        # A stable sort leaves equal potentials in ascending id order.
+        order_array = np.argsort(-potential, kind="stable")
+        values = potential[order_array]
+        order = order_array.tolist()
+        # Runs of equal potentials, as ``order[start : stop + 1]``: only
+        # these nodes ever need their repr.
+        tied = np.concatenate(([False], values[1:] == values[:-1], [False]))
+        edges = np.flatnonzero(tied[1:] != tied[:-1]).tolist()
+        nodes = self.nodes
+        for start, stop in zip(edges[0::2], edges[1::2]):
+            # reverse=True keeps the sort stable: equal reprs stay in
+            # ascending id order.
+            order[start : stop + 1] = sorted(
+                order[start : stop + 1],
+                key=lambda index: repr(nodes[index]),
+                reverse=True,
+            )
+        return (self.generation, order, potential.tolist())
+
+    def _refresh_ranking(self, order: list, ranked: list, batches) -> tuple:
+        """Move the endpoints touched by ``batches`` to their new ranks.
+
+        ``ranked`` holds each ranked node's potential as of its last
+        placement, so ``order`` stays sorted by it while the touched
+        nodes are moved one at a time.
+        """
+        index_of = self.index_of
+        touched = set()
+        for batch in batches:
+            for op in batch:
+                if op[0] != "add_node":
+                    touched.add(index_of[op[1]])
+                    touched.add(index_of[op[2]])
+        potential = self.potential
+        placed = len(order)
+        for index in touched:
+            if index < placed:
+                self._move_in_ranking(order, ranked, index, potential[index])
+        for index in range(placed, len(self.nodes)):
+            ranked.append(potential[index])
+            order.insert(self._rank_position(order, ranked, index, 0, placed), index)
+            placed += 1
+        return (self.generation, order, ranked)
+
+    def _move_in_ranking(
+        self, order: list, ranked: list, index: int, value: float
+    ) -> None:
+        position = self._rank_position(order, ranked, index, 0, len(order))
+        ranked[index] = value
+        target = self._rank_position(order, ranked, index, 0, position)
+        if target < position:
+            # It now ranks before nodes it used to follow: rotate it up.
+            order[target + 1 : position + 1] = order[target:position]
+            order[target] = index
+            return
+        # Rotate it down past every node that now ranks before it (a
+        # no-op when there is none).
+        stop = self._rank_position(order, ranked, index, position + 1, len(order))
+        order[position : stop - 1] = order[position + 1 : stop]
+        order[stop - 1] = index
+
+    def _rank_position(
+        self, order: list, ranked: list, index: int, lo: int, hi: int
+    ) -> int:
+        """First position in ``order[lo:hi]`` whose node does not rank
+        before ``index`` under the ``ranked`` potentials (``hi`` when
+        every node there does)."""
+        value = ranked[index]
+        nodes = self.nodes
+        label = None
+        while lo < hi:
+            mid = (lo + hi) // 2
+            other = order[mid]
+            other_value = ranked[other]
+            if other_value != value:
+                before = other_value > value
+            else:
+                if label is None:
+                    label = repr(nodes[index])
+                other_label = repr(nodes[other])
+                if other_label != label:
+                    before = other_label > label
+                else:
+                    before = other < index
+            if before:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
 
     # ------------------------------------------------------------------
     # Streaming deltas — patch the freeze in place instead of refreezing.
@@ -652,6 +815,8 @@ class CompiledGraph:
             # exactly the label a recomputed BFS would assign.
             self._component_labels.append(index)
             self._component_sizes.append(1)
+            if self._largest_component == 0:
+                self._largest_component = 1
         if self._row_targets is not None:
             self._row_targets.append([])
         if self._row_edges is not None:
@@ -710,6 +875,7 @@ class CompiledGraph:
         # exactly as a refreeze of the mutated source would.
         self._component_sizes = None
         self._component_labels = None
+        self._largest_component = None
         self._refresh_row(iu)
         self._refresh_row(iv)
 
@@ -719,6 +885,7 @@ class CompiledGraph:
         if labels is None or sizes is None:
             self._component_sizes = None
             self._component_labels = None
+            self._largest_component = None
             return
         lu, lv = labels[iu], labels[iv]
         if lu == lv:
@@ -728,6 +895,9 @@ class CompiledGraph:
         # of the two old roots.
         merged_label = lu if lu < lv else lv
         merged_size = sizes[iu] + sizes[iv]
+        largest = self._largest_component
+        if largest is not None and merged_size > largest:
+            self._largest_component = merged_size
         for i in range(len(labels)):
             if labels[i] == lu or labels[i] == lv:
                 labels[i] = merged_label
@@ -793,6 +963,8 @@ class CompiledGraph:
         self.disk_home = None
         self._mmaps = ()
         self.generation = 0
+        self._largest_component = None
+        self._ranking = None
         for name, value in state.items():
             setattr(self, name, value)
         # The replay log does not travel: an unpickled copy starts its
@@ -879,8 +1051,10 @@ class CompiledGraph:
         After closing, the arrays are gone (any access raises); the
         worker-side residency store calls this when evicting a mapped
         graph so the address space is actually unmapped instead of
-        waiting on GC.  No-op for in-memory graphs; idempotent.
+        waiting on GC.  On an in-memory graph it only drops the derived
+        start-node ranking; idempotent.
         """
+        self._ranking = None
         maps, self._mmaps = self._mmaps, ()
         if not maps:
             return
@@ -898,6 +1072,7 @@ class CompiledGraph:
         self.potential = empty
         self._component_sizes = None
         self._component_labels = None
+        self._largest_component = None
         self._row_targets = None
         self._row_edges = None
         self._row_id_edges = None
@@ -922,9 +1097,10 @@ class CompiledGraph:
         """
         clone = CompiledGraph.__new__(CompiledGraph)
         for name in self.__slots__:
-            if name != "graph":
+            if name not in ("graph", "_ranking"):
                 setattr(clone, name, getattr(self, name))
         clone.graph = ArrayBackedGraph(clone)
+        clone._ranking = None
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

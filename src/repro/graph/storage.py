@@ -355,5 +355,7 @@ def load_compiled(path: PathLike, mmap: bool = True, verify: bool = True):
     compiled._row_targets = None
     compiled._row_edges = None
     compiled._row_id_edges = None
+    compiled._largest_component = None
+    compiled._ranking = None
     compiled.graph = ArrayBackedGraph(compiled)
     return compiled

@@ -185,10 +185,11 @@ class _WorkerSolveState:
         self.vectors: "list[SelectionProbabilities] | None" = None
         if self.mode == "ce":
             # Bit-identical to the parent's cold vectors: same candidate
-            # order (compiled node order minus forbidden), same k, same
-            # rebuilt index_of.  Warm vectors ship their arrays.
+            # order (compiled node order minus forbidden, or every slot
+            # when nothing is forbidden), same k, same rebuilt index_of.
+            # Warm vectors ship their arrays.
             template = SelectionProbabilities(
-                problem.candidates(),
+                problem.candidates() if problem.forbidden else None,
                 problem.k,
                 index_of=compiled.index_of,
                 size=compiled.number_of_nodes,

@@ -108,6 +108,36 @@ class SolveRequest:
         return int(budget) if budget is not None else 0
 
 
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which is an int subclass.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_array(value) -> bool:
+    return isinstance(value, (list, tuple))
+
+
+def _spec_value(spec: dict, key: str, valid, expected: str, default=None):
+    """``spec[key]`` (``default`` when absent) after a type check.
+
+    A wrong type raises ``ValueError`` naming the key instead of being
+    converted: ``int(5.7)`` or ``bool("false")`` would otherwise solve
+    a different problem than the one the client sent.
+    """
+    if key not in spec:
+        return default
+    value = spec[key]
+    if not valid(value):
+        raise ValueError(
+            f"request key {key!r} must be {expected}, got {value!r}"
+        )
+    return value
+
+
 def request_from_spec(graph: SocialGraph, spec: dict) -> SolveRequest:
     """Build a :class:`SolveRequest` from a plain dict over ``graph``.
 
@@ -122,10 +152,25 @@ def request_from_spec(graph: SocialGraph, spec: dict) -> SolveRequest:
     A remaining key the solver's factory does not accept raises
     ``ValueError`` naming the valid keys — a typo like ``deadline`` for
     ``deadline_s`` must fail at the front door, not be silently
-    dropped into a request that then ignores its deadline.
+    dropped into a request that then ignores its deadline.  So does a
+    problem key of the wrong type: ``k`` must be an int, ``connected``
+    a bool, ``seed`` an int or null, ``required`` / ``forbidden``
+    arrays and ``deadline_s`` a number (never a bool).
     """
     if "k" not in spec:
         raise ValueError(f"request spec needs a 'k' field: {spec!r}")
+    k = _spec_value(spec, "k", _is_int, "an integer")
+    connected = _spec_value(
+        spec, "connected", lambda v: isinstance(v, bool), "a boolean", True
+    )
+    required = _spec_value(spec, "required", _is_array, "an array", ())
+    forbidden = _spec_value(spec, "forbidden", _is_array, "an array", ())
+    seed = _spec_value(
+        spec, "seed", lambda v: v is None or _is_int(v), "an integer"
+    )
+    deadline_s = _spec_value(
+        spec, "deadline_s", lambda v: v is None or _is_number(v), "a number"
+    )
     graph_path = spec.get("graph_path")
     if graph_path is not None:
         # Path-installed tenant: the request names a saved frozen index
@@ -138,10 +183,10 @@ def request_from_spec(graph: SocialGraph, spec: dict) -> SolveRequest:
         graph = load_cached_graph(graph_path)
     problem = WASOProblem(
         graph=graph,
-        k=int(spec["k"]),
-        connected=bool(spec.get("connected", True)),
-        required=frozenset(spec.get("required", ())),
-        forbidden=frozenset(spec.get("forbidden", ())),
+        k=k,
+        connected=connected,
+        required=frozenset(required),
+        forbidden=frozenset(forbidden),
     )
     solver_kwargs = {
         key: value for key, value in spec.items() if key not in _PROBLEM_KEYS
@@ -155,11 +200,10 @@ def request_from_spec(graph: SocialGraph, spec: dict) -> SolveRequest:
             f"unknown request key(s) {', '.join(map(repr, unknown))} "
             f"for solver {solver!r}; valid keys: {valid}"
         )
-    deadline_s = spec.get("deadline_s")
     return SolveRequest(
         problem=problem,
         solver=solver,
-        rng=spec.get("seed"),
+        rng=seed,
         solver_kwargs=solver_kwargs,
         deadline_s=float(deadline_s) if deadline_s is not None else None,
     )

@@ -473,7 +473,11 @@ class ServingDaemon:
                 f"unknown tenant {tenant!r}; serving: {sorted(self.graphs)}"
             )
         if slo_s is not None:
-            if not isinstance(slo_s, (int, float)) or slo_s <= 0:
+            if (
+                isinstance(slo_s, bool)
+                or not isinstance(slo_s, (int, float))
+                or slo_s <= 0
+            ):
                 raise _InvalidRequest(
                     f"slo_s must be a positive number, got {slo_s!r}"
                 )

@@ -298,6 +298,9 @@ class TestSolveMany:
         path.write_text('{"k": 4}\n{"k": 4, "solver": "nope"}\n')
         with pytest.raises(SystemExit, match="bad.jsonl:2.*unknown solver"):
             main(["solve-many", str(graph_file), str(path)])
+        path.write_text('{"k": 4}\n{"k": 4.5}\n')
+        with pytest.raises(SystemExit, match="bad.jsonl:2.*'k'.*integer"):
+            main(["solve-many", str(graph_file), str(path)])
 
 
 class TestParser:

@@ -165,6 +165,37 @@ class TestRandomizedDeltasBitIdentical:
             assert compiled.generation == before + 1
             _assert_bit_identical(compiled, CompiledGraph.from_graph(graph))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_largest_component_follows_structural_spans(self, seed):
+        """The stored largest component size is merged, grown and
+        cleared with the labels: it always equals the max over the
+        size array, also on an unpickled copy."""
+        graph = random_social_graph(40, average_degree=1.2, seed=seed)
+        compiled = graph.compiled()
+        sizes = compiled.component_size_by_index()
+        assert compiled.largest_component_size() == max(sizes)
+        rng = random.Random(seed)
+        counter = [0]
+        for _ in range(12):
+            batch = [
+                op
+                for op in _random_batch(graph, rng, counter)
+                if op[0] != "set_tightness"
+            ]
+            if not batch:
+                continue
+            compiled.apply_deltas(batch)
+            if compiled._component_labels is not None:
+                # Merges and new nodes keep it without a rescan.
+                assert compiled._largest_component is not None
+            assert compiled.largest_component_size() == max(
+                compiled.component_size_by_index()
+            )
+        copy = pickle.loads(pickle.dumps(compiled))
+        assert copy.largest_component_size() == max(
+            compiled.component_size_by_index()
+        )
+
     def test_patched_index_stays_adopted_by_source(self):
         graph = _general_graph(30, 3)
         compiled = graph.compiled()

@@ -500,6 +500,14 @@ class TestSolveMany:
         assert request.rng == 3
         assert request.budget == 77
         assert request.solver_kwargs == {"budget": 77, "m": 4}
+        request = request_from_spec(
+            runtime_graph,
+            {"k": 5, "connected": False, "seed": None, "deadline_s": 2,
+             "required": [], "forbidden": []},
+        )
+        assert request.problem.connected is False
+        assert request.rng is None
+        assert request.deadline_s == 2.0
         with pytest.raises(ValueError, match="'k'"):
             request_from_spec(runtime_graph, {"solver": "cbas"})
         with pytest.raises(TypeError, match="registry name"):
@@ -540,6 +548,34 @@ class TestSolveMany:
             runtime_graph, {"k": 5, "solver": "cbas-nd-g", "budget": 50}
         )
         assert request.budget == 50
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("k", 5.7),
+            ("k", True),
+            ("k", "5"),
+            ("connected", "false"),
+            ("connected", 0),
+            ("seed", [1, 2]),
+            ("seed", True),
+            ("seed", 2.5),
+            ("required", "ab"),
+            ("forbidden", 3),
+            ("deadline_s", True),
+            ("deadline_s", "5"),
+        ],
+    )
+    def test_request_from_spec_rejects_mistyped_values(
+        self, runtime_graph, key, value
+    ):
+        """A value of the wrong type is rejected, naming its key, instead
+        of being converted into a different request (``int(5.7)``,
+        ``bool("false")``, a bool deadline counted as one second)."""
+        spec = {"k": 5, "budget": 40}
+        spec[key] = value
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            request_from_spec(runtime_graph, spec)
 
 
 class TestServingSessionResidency:

@@ -645,6 +645,42 @@ class TestRequestValidation:
         assert replies[5]["error"]["kind"] == "invalid"
         assert "JSON object" in replies[5]["error"]["message"]
 
+    def test_mistyped_values_are_typed_invalid(
+        self, small_facebook, no_orphans
+    ):
+        """Wrong-typed values get an ``invalid`` reply naming the key:
+        none is converted into a different problem, and a bad seed does
+        not fail later inside the solve as a ``solver_error``."""
+        named = {
+            "k": {"k": 5.7, "budget": 40},
+            "k-bool": {"k": True, "budget": 40},
+            "connected": {"k": 5, "connected": "false", "budget": 40},
+            "seed": {"k": 5, "seed": [1, 2], "budget": 40},
+            "deadline_s": {"k": 5, "deadline_s": True, "budget": 40},
+            "slo_s": {"k": 5, "slo_s": True},
+        }
+
+        async def scenario():
+            daemon = ServingDaemon(small_facebook, **_daemon_kwargs())
+            host, port = await daemon.start()
+            try:
+                return await _send_all(
+                    host,
+                    port,
+                    [{"id": name, **spec} for name, spec in named.items()],
+                )
+            finally:
+                await daemon.shutdown()
+
+        replies = asyncio.run(scenario())
+        for name in named:
+            error = replies[name]["error"]
+            key = name.split("-")[0]
+            assert error["kind"] == "invalid", (name, error)
+            assert f"'{key}'" in error["message"] or error[
+                "message"
+            ].startswith(f"{key} "), (name, error)
+
     def test_cbas_nd_g_typo_is_invalid_at_the_front_door(
         self, small_facebook, no_orphans
     ):
