@@ -162,7 +162,6 @@ class CBAS(ContextSolver):
         node_stats = [StartNodeStats(node=start) for start in starts]
         failures = [0] * len(starts)
         stats = SolveStats()
-        best_sample: Optional[Sample] = None
         self._prepare(problem, starts, evaluator)
         self._prune_undersized_components(problem, starts, node_stats, stats)
         if warm_used and all(stat.pruned for stat in node_stats):
@@ -196,7 +195,6 @@ class CBAS(ContextSolver):
             node_stats=node_stats,
             failures=failures,
             stats=stats,
-            best_sample=best_sample,
         )
         per_stage = max(1, self.budget // stage_total)
         if sampler.is_vector:
@@ -205,38 +203,35 @@ class CBAS(ContextSolver):
             # runs read it from the identical point of the seeded stream.
             sampler.vector_key = rng.getrandbits(64)
         executor.begin_solve(context)
-        try:
-            for stage in range(stage_total):
-                stats.stages += 1
-                if stage == 0:
-                    # Zero weight for starts pruned up front (sub-k
-                    # components) so their stage-0 share is redirected,
-                    # not discarded.
-                    shares = apportion(
-                        [0.0 if stat.pruned else 1.0 for stat in node_stats],
-                        per_stage,
-                    )
-                else:
-                    if self.allocation == "gaussian":
-                        weights = gaussian_weights(node_stats)
-                    else:
-                        weights = uniform_weights(node_stats)
-                    for index, weight in enumerate(weights):
-                        if weight <= 0.0:
-                            node_stats[index].pruned = True
-                    shares = apportion(weights, per_stage)
-
-                executor.run_stage(context, shares)
-
-                stats.extra.setdefault("stage_best", []).append(
-                    context.best_sample.willingness
-                    if context.best_sample is not None
-                    else None
+        for stage in range(stage_total):
+            stats.stages += 1
+            if stage == 0:
+                # Zero weight for starts pruned up front (sub-k
+                # components) so their stage-0 share is redirected,
+                # not discarded.
+                shares = apportion(
+                    [0.0 if stat.pruned else 1.0 for stat in node_stats],
+                    per_stage,
                 )
-                if all(stat.pruned for stat in node_stats):
-                    break
-        finally:
-            executor.end_solve(context)
+            else:
+                if self.allocation == "gaussian":
+                    weights = gaussian_weights(node_stats)
+                else:
+                    weights = uniform_weights(node_stats)
+                for index, weight in enumerate(weights):
+                    if weight <= 0.0:
+                        node_stats[index].pruned = True
+                shares = apportion(weights, per_stage)
+
+            executor.run_stage(context, shares)
+
+            stats.extra.setdefault("stage_best", []).append(
+                context.best_sample.willingness
+                if context.best_sample is not None
+                else None
+            )
+            if all(stat.pruned for stat in node_stats):
+                break
         best_sample = context.best_sample
 
         if best_sample is None:
@@ -372,14 +367,6 @@ class CBAS(ContextSolver):
             max_failures=MAX_CONSECUTIVE_FAILURES,
         )
 
-    def _after_start_stage(
-        self,
-        start_index: int,
-        samples: list[Sample],
-        stats: SolveStats,
-    ) -> None:
-        """Called after each start node's draws in a stage (CE update)."""
-
     # ------------------------------------------------------------------
     # Shard-protocol hooks (stage-sharded execution; see stage_pool)
     # ------------------------------------------------------------------
@@ -414,12 +401,15 @@ class CBAS(ContextSolver):
         kept: "list[tuple[float, tuple[int, ...]]]",
         stats: SolveStats,
     ) -> "tuple | None":
-        """Merge one start node's shard summaries (CE refit for CBAS-ND).
+        """Refit from one start node's merged stage (CBAS-ND's Eq. (4)).
 
-        ``kept`` concatenates the shards' candidate-elite samples in
-        shard order.  Returns the vector-sync patch workers must replay
-        before the next stage, or ``None`` when there is nothing to sync
-        (uniform CBAS always; CBAS-ND when a stage produced no elites).
+        Called by :func:`~repro.algorithms.stage_exec.merge_start_stage`
+        for a stage with at least one success.  ``kept`` holds the
+        candidate elites as ``(willingness, ids)`` pairs, best first and
+        ties in draw order.  Returns the vector-sync patch workers must
+        replay before the next stage, or ``None`` when there is nothing
+        to sync (uniform CBAS always; CBAS-ND when a stage produced no
+        elites).
         """
         return None
 

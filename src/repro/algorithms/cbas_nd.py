@@ -208,28 +208,6 @@ class CBASND(CBAS):
         state.vectors = dict(zip(starts, self._vectors))
         return state
 
-    def _after_start_stage(
-        self,
-        start_index: int,
-        samples: list[Sample],
-        stats: SolveStats,
-    ) -> None:
-        if not samples:
-            return
-        vector = self._vectors[start_index]
-        controller = self._controllers[start_index]
-        controller.remember(vector)
-        movement = vector.update(
-            samples,
-            rho=self.rho,
-            smoothing=self.smoothing,
-            # The movement signal only steers backtracking; without it
-            # the O(n) distance accumulation is skipped.
-            compute_movement=controller.enabled,
-        )
-        if controller.observe(vector, movement):
-            stats.extra["backtracks"] = stats.extra.get("backtracks", 0) + 1
-
     # ------------------------------------------------------------------
     # Shard-protocol hooks (stage-sharded execution)
     # ------------------------------------------------------------------
@@ -270,34 +248,27 @@ class CBASND(CBAS):
         kept: "list[tuple[float, tuple[int, ...]]]",
         stats: SolveStats,
     ) -> "tuple | None":
-        """One Eq. (4) refit from the merged shard evidence.
+        """One Eq. (4) refit from the start's merged stage evidence.
 
-        The stage quantile is taken over the *full* merged stream (the
-        per-shard retention rank guarantees the rank-``⌈ρ·N⌉`` value and
-        every threshold-tied sample are among ``kept``), so the vector is
-        refitted from exactly the elite set a serial run over the
-        concatenated sample stream would produce.
+        The stage quantile is taken over all ``successes`` (the
+        retention rank guarantees the rank-``⌈ρ·N⌉`` value and every
+        threshold-tied sample are among ``kept``), so the vector is
+        refitted from exactly the elite set of the stage's full sample
+        stream, whichever executor drew it.  A stage whose samples all
+        fall below the monotone ``γ`` has no elites: the vector stays
+        as it is, and the backtracking controller neither snapshots nor
+        observes it.
         """
-        if successes == 0:
-            return None
         vector = self._vectors[start_index]
         rank = max(1, math.ceil(self.rho * successes))
-        ordered = sorted((w for w, _ in kept), reverse=True)
-        stage_gamma = ordered[min(rank, len(ordered)) - 1]
-        gamma = vector.observe_stage_gamma(stage_gamma)
-        elites = [(w, indices) for w, indices in kept if w >= gamma]
+        gamma = vector.observe_stage_gamma(kept[min(rank, len(kept)) - 1][0])
+        elites = [ids for willingness, ids in kept if willingness >= gamma]
         if not elites:
-            # Every sample fell below the historic threshold: keep the
-            # vector unchanged rather than fitting to nothing.
             return None
-        counts: dict[int, int] = {}
-        for _, indices in elites:
-            for slot in indices:
-                counts[slot] = counts.get(slot, 0) + 1
         controller = self._controllers[start_index]
         controller.remember(vector)
         patch, movement = vector.update_from_counts(
-            counts,
+            vector.elite_counts(elites),
             len(elites),
             self.smoothing,
             compute_movement=controller.enabled,

@@ -40,11 +40,11 @@ same start node.
 from __future__ import annotations
 
 import functools
-import math
 import random
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
 from itertools import accumulate
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from repro.core.problem import WASOProblem
@@ -84,39 +84,35 @@ class Sample(NamedTuple):
 
 
 class ShardSummary(NamedTuple):
-    """Compact result of one shard's draws for a (start node, stage) pair.
+    """Compact result of one batch of draws for a (start node, stage) pair.
 
-    Stage-sharded solves split a start node's per-stage budget across
-    worker processes; each worker reduces its batch to this summary so
-    the parent can reconstruct everything a stage needs — OCBA statistics,
-    the incumbent best sample, the merged elite quantile, and the exact
-    elite set for the Eq. (4) refit — from ``O(ρ·T)`` numbers per shard
-    instead of the full sample stream.
+    Every stage executor reduces a start's draws to this summary — the
+    serial executors once per start, stage-pool workers once per shard —
+    and folds the start's summaries, in draw order, through
+    :func:`~repro.algorithms.stage_exec.merge_start_stage`.
 
-    ``kept`` holds the shard's candidate elites as ``(willingness,
-    member-index tuple)`` pairs in draw order: every sample whose
-    willingness reaches the shard's ``keep_rank``-th best.  Because the
-    merged stream's top-ρ quantile rank never exceeds ``keep_rank``
-    (which the parent derives from the start's *total* stage share), the
-    union of the shards' kept lists provably contains the merged stream's
-    full elite set, ties at the threshold included.
+    ``willingness`` lists every success's willingness in draw order, so
+    the merge records the OCBA statistics exactly as a sample-by-sample
+    loop would.  ``kept`` holds the candidate elites as ``(willingness,
+    ids)`` pairs, best first and ties in draw order: every success whose
+    willingness reaches the ``keep_rank``-th best.  ``ids`` is the
+    compiled int-id tuple of the members (the member set on the
+    reference engine, which has no compiled ids).  Because the merged
+    stream's top-ρ quantile rank never exceeds ``keep_rank`` (which the
+    parent derives from the start's *total* stage share), the union of
+    the shards' kept lists provably contains the merged stream's full
+    elite set, ties at the threshold included.
 
-    ``mean`` / ``m2`` are Welford moments over the shard's successes in
-    draw order; ``trailing_failures`` counts the consecutive failed draws
-    at the end of the batch and ``hit_cap`` reports an early stop at the
+    ``trailing_failures`` counts the consecutive failed draws at the
+    end of the batch and ``hit_cap`` reports an early stop at the
     consecutive-failure write-off limit.
     """
 
     attempts: int
-    successes: int
-    failures: int
     trailing_failures: int
     hit_cap: bool
-    min_w: float
-    max_w: float
-    mean: float
-    m2: float
-    kept: "tuple[tuple[float, tuple[int, ...]], ...]"
+    willingness: "tuple[float, ...]"
+    kept: "tuple[tuple[float, tuple[int, ...] | frozenset], ...]"
 
 
 def summarize_shard(
@@ -125,60 +121,44 @@ def summarize_shard(
     max_failures: Optional[int] = None,
     carry_failures: int = 0,
 ) -> ShardSummary:
-    """Reduce one shard's draw batch to a :class:`ShardSummary`.
+    """Reduce one draw-ordered batch to a :class:`ShardSummary`.
 
-    ``keep_rank`` is the parent-supplied elite retention rank (at least
-    1); ``max_failures`` / ``carry_failures`` mirror the write-off cap
-    and the seeded consecutive-failure counter the batch was drawn with,
-    so ``hit_cap`` reflects the same counter the draw loop stopped on.
+    ``keep_rank`` is the elite retention rank (at least 1);
+    ``max_failures`` / ``carry_failures`` mirror the write-off cap and
+    the seeded consecutive-failure counter the batch was drawn with, so
+    ``hit_cap`` reflects the same counter the draw loop stopped on.
     """
     if keep_rank < 1:
         raise ValueError(f"keep_rank must be positive, got {keep_rank}")
-    successes = [sample for sample in batch if sample is not None]
-    attempts = len(batch)
-    failures = attempts - len(successes)
+    pairs = [
+        (
+            sample.willingness,
+            sample.members if sample.indices is None else sample.indices,
+        )
+        for sample in batch
+        if sample is not None
+    ]
     trailing = 0
     for sample in reversed(batch):
         if sample is not None:
             break
         trailing += 1
-    counter_end = trailing if successes else carry_failures + failures
-    hit_cap = max_failures is not None and counter_end >= max_failures
-    min_w = math.inf
-    max_w = -math.inf
-    mean = 0.0
-    m2 = 0.0
-    for count, sample in enumerate(successes, start=1):
-        w = sample.willingness
-        if w < min_w:
-            min_w = w
-        if w > max_w:
-            max_w = w
-        delta = w - mean
-        mean += delta / count
-        m2 += delta * (w - mean)
-    kept: tuple = ()
-    if successes:
-        ordered = sorted(
-            (sample.willingness for sample in successes), reverse=True
-        )
-        cutoff = ordered[min(keep_rank, len(ordered)) - 1]
-        kept = tuple(
-            (sample.willingness, sample.indices)
-            for sample in successes
-            if sample.willingness >= cutoff
-        )
+    counter_end = trailing if pairs else carry_failures + len(batch)
+    willingness = tuple(map(itemgetter(0), pairs))
+    # A stable sort: ties keep their draw order, so ``kept[0]`` is the
+    # first occurrence of the batch maximum.
+    pairs.sort(key=itemgetter(0), reverse=True)
+    end = min(keep_rank, len(pairs))
+    if end:
+        cutoff = pairs[end - 1][0]
+        while end < len(pairs) and pairs[end][0] == cutoff:
+            end += 1
     return ShardSummary(
-        attempts=attempts,
-        successes=len(successes),
-        failures=failures,
-        trailing_failures=trailing,
-        hit_cap=hit_cap,
-        min_w=min_w,
-        max_w=max_w,
-        mean=mean,
-        m2=m2,
-        kept=kept,
+        len(batch),
+        trailing,
+        max_failures is not None and counter_end >= max_failures,
+        willingness,
+        tuple(pairs[:end]),
     )
 
 
@@ -325,6 +305,20 @@ class ExpansionSampler:
     def is_vector(self) -> bool:
         """True when the evaluator carries the numpy views for batching."""
         return getattr(self.evaluator, "is_vector", False)
+
+    def sample_from_pair(self, willingness: float, ids) -> Sample:
+        """The :class:`Sample` behind one :class:`ShardSummary` ``kept`` pair.
+
+        ``ids`` is a compiled int-id tuple on the compiled and vector
+        engines and the member set on the reference engine.
+        """
+        if self._compiled is None:
+            return Sample(members=frozenset(ids), willingness=willingness)
+        return Sample(
+            members=frozenset(map(self._compiled.nodes.__getitem__, ids)),
+            willingness=willingness,
+            indices=tuple(ids),
+        )
 
     def draw(
         self,

@@ -62,30 +62,6 @@ class StartNodeStats:
         self._mean += delta / self.n
         self._m2 += delta * (willingness - self._mean)
 
-    def merge_summary(
-        self, count: int, low: float, high: float, mean: float, m2: float
-    ) -> None:
-        """Fold a pre-aggregated batch of samples into the statistics.
-
-        Stage-sharded solves reduce each shard's samples to ``(count,
-        min, max, mean, M2)`` in the worker and merge here.  ``c``/``d``/
-        ``n`` — everything the default uniform model reads — merge
-        exactly; the Gaussian model's moments use Chan et al.'s parallel
-        Welford combination, which matches the serial accumulation up to
-        floating-point association (merging into empty statistics is
-        exact).
-        """
-        if count <= 0:
-            return
-        self.c = min(self.c, low)
-        self.d = max(self.d, high)
-        before = self.n
-        total = before + count
-        delta = mean - self._mean
-        self._mean += delta * (count / total)
-        self._m2 += m2 + delta * delta * (before * count / total)
-        self.n = total
-
     @property
     def mean(self) -> float:
         return self._mean

@@ -3,9 +3,12 @@
 The CE literature's convergence criterion is a probability vector that
 stops moving.  The paper turns this into a *backtracking* rule: when the
 squared distance ``z_i = Σ_j (p_{i,t,j} − p_{i,t−1,j})²`` between successive
-vectors falls below a threshold ``z_t``, the vector is reset to its
-previous value and the stage is re-sampled, pushing the search away from a
-premature freeze.
+vectors falls below a threshold ``z_t``, the refit is undone: the vector
+is reset to its value before the stage, and the next stage draws from
+it, pushing the search away from a premature freeze.  The stage's draws
+are not repeated.  Only a refit counts: a stage whose samples all fall
+below the monotone elite threshold leaves the vector unchanged, and
+that is not a convergence signal, so the controller is not consulted.
 """
 
 from __future__ import annotations
@@ -76,6 +79,6 @@ class BacktrackController:
         return True
 
     def remember(self, probabilities: SelectionProbabilities) -> None:
-        """Snapshot the vector before an update (call once per stage)."""
+        """Snapshot the vector before a refit (once per refitted stage)."""
         if self.enabled:
             self._previous = probabilities.snapshot()

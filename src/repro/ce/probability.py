@@ -52,25 +52,27 @@ compiled kernel indexes a Python list, because a list index is far
 cheaper than a numpy scalar read per frontier slot, and converts the
 array once per draw batch with ``tolist()``.
 
-Sharded stage merge
--------------------
-A stage-sharded solve (``repro.parallel.stage_pool``) draws a stage's
-samples in worker processes and refits the parent's vector from merged
-per-shard elite evidence: :meth:`observe_stage_gamma` folds the merged
-stage quantile into the monotone threshold and :meth:`update_from_counts`
-applies Eq. (4) from pre-aggregated elite membership counts — the exact
-arithmetic of :meth:`update`, minus the per-sample scan, and returns
-the applied round as a compact *patch*
-``("round", keep, ((slot, value), …))``; worker-resident mirror vectors
-replay it with :meth:`apply_round` (or :meth:`restore` for a full-array
-resync) and stay bit-identical to the parent without the parent ever
-re-shipping the O(n) array.
+Stage merge
+-----------
+Every stage executor (``repro.algorithms.stage_exec``) reduces a start's
+draws to compact summaries and refits the parent's vector from the
+merged elite evidence: :meth:`observe_stage_gamma` folds the stage
+quantile into the monotone threshold, :meth:`elite_counts` counts elite
+membership per slot, and :meth:`update_from_counts` applies Eq. (4) from
+those counts — the exact arithmetic of the per-sample :meth:`update`,
+which stays as the reference the refit is tested against.  The applied
+round comes back as a compact *patch* ``("round", keep, ((slot, value),
+…))``; stage-pool workers' mirror vectors replay it with
+:meth:`apply_round` (or :meth:`restore` for a full-array resync) and
+stay bit-identical to the parent without the parent ever re-shipping
+the O(n) array.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -307,6 +309,26 @@ class SelectionProbabilities:
         )
         return movement
 
+    def elite_counts(self, elites: Iterable) -> "dict[int, int]":
+        """Slot → number of ``elites`` containing it.
+
+        Each elite is a member collection in this vector's id domain:
+        compiled int ids in the compiled domain, node ids in the local
+        domain (nodes outside the vector's domain are skipped) — the
+        second element of a :class:`~repro.algorithms.sampling.
+        ShardSummary` ``kept`` pair on the matching engine.
+        """
+        if self.index_map is None:
+            index_of = self._index_of
+            elites = [
+                [index_of[node] for node in members if node in index_of]
+                for members in elites
+            ]
+        counts: dict[int, int] = {}
+        for slot in chain.from_iterable(elites):
+            counts[slot] = counts.get(slot, 0) + 1
+        return counts
+
     def update_from_counts(
         self,
         counts: Mapping[int, int],
@@ -316,13 +338,13 @@ class SelectionProbabilities:
     ) -> "tuple[tuple, float]":
         """Eq. (4) + smoothing from pre-aggregated elite counts.
 
-        The sharded stage merge counts elite membership across worker
-        summaries (slot → number of elite samples containing it) and
-        applies the refit here without ever materializing the samples;
-        given the same counts, elite size, and prior state, the resulting
-        probabilities are bit-identical to :meth:`update`.  The caller is
-        responsible for the threshold bookkeeping
-        (:meth:`observe_stage_gamma`) and for filtering the elites.
+        The stage merge counts elite membership across shard summaries
+        (:meth:`elite_counts`) and applies the refit here without ever
+        materializing the samples; given the same counts, elite size,
+        and prior state, the resulting probabilities are bit-identical
+        to :meth:`update`.  The caller is responsible for the threshold
+        bookkeeping (:meth:`observe_stage_gamma`) and for filtering the
+        elites.
 
         Returns ``(patch, movement)``; the patch is the compact round
         record ``("round", keep, ((slot, value), …))`` that
@@ -332,11 +354,11 @@ class SelectionProbabilities:
             raise ValueError(f"elite_size must be positive, got {elite_size}")
         if not counts:
             raise ValueError("elite counts must not be empty")
-        return self._refit(dict(counts), elite_size, smoothing, compute_movement)
+        return self._refit(counts, elite_size, smoothing, compute_movement)
 
     def _refit(
         self,
-        counts: dict,
+        counts: Mapping[int, int],
         size: int,
         smoothing: float,
         compute_movement: bool,

@@ -22,11 +22,12 @@ Architecture
   stage_exec.StageExecutor` strategy solvers plug in.  Per stage it
   splits every funded start node's budget share into per-worker shards
   (budget + RNG seed + pending CE-vector sync patches — a few hundred
-  bytes), and merges the workers' compact
-  :class:`~repro.algorithms.sampling.ShardSummary` replies: OCBA
-  statistics (min/max/count merge exactly; Welford moments via the
-  parallel combination), the incumbent best sample, and one Eq. (4)
-  refit from the merged elite set.
+  bytes), and folds the workers' compact
+  :class:`~repro.algorithms.sampling.ShardSummary` replies, in shard
+  order, through :func:`~repro.algorithms.stage_exec.merge_start_stage`
+  — the same merge the serial executors run: failure accounting, OCBA
+  statistics recorded sample by sample in draw order, the incumbent
+  best sample, and one Eq. (4) refit from the merged elite set.
 * Workers draw with the exact same compiled kernel
   (:meth:`~repro.algorithms.sampling.ExpansionSampler.draw_batch`) and
   mirror each start's :class:`~repro.ce.probability.
@@ -38,16 +39,15 @@ Architecture
 
 Semantics versus serial execution
 ---------------------------------
-A stage-sharded solve is *not* RNG-stream-identical to the default
-serial solve (the draws come from per-shard generators), but it is the
-same statistical computation with the same per-stage elite refit — the
-paper makes the same observation about its OpenMP runs.  Two designed
-divergences: the consecutive-failure write-off cap is enforced per
-shard (a failing start can draw up to one shard's worth of extra
-attempts before every worker notices), and the Gaussian allocation
-model sees merged rather than serially-accumulated Welford moments.
-The default uniform allocation reads only min/max/count, which merge
-exactly.
+A compiled-engine stage-sharded solve is *not* RNG-stream-identical to
+the default serial solve (the draws come from per-shard generators),
+but it is the same statistical computation with the same per-stage
+elite refit — the paper makes the same observation about its OpenMP
+runs.  Vector-engine randomness is positional, so there serial and
+stage-sharded solves are identical at any worker count — up to the one
+designed divergence of both engines: the consecutive-failure write-off
+cap is enforced per shard (a failing start can draw up to one shard's
+worth of extra attempts before every worker notices).
 """
 
 from __future__ import annotations
@@ -56,11 +56,11 @@ import itertools
 import pickle
 from typing import Optional
 
-from repro.algorithms.sampling import Sample
 from repro.algorithms.stage_exec import (
     MAX_CONSECUTIVE_FAILURES,
     StageContext,
     StageExecutor,
+    merge_start_stage,
 )
 from repro.parallel.pool import (
     ResidentPool,
@@ -260,58 +260,16 @@ class ShardedStageExecutor(StageExecutor):
             retries=recovery["retries"],
             degraded=recovery["fallback_shards"],
         )
-        best_sample = ctx.best_sample
         stage_trace = [] if self.trace is not None else None
         for index, carry, shard_counts, seeds, keep_rank, positions in placements:
             summaries = [results[worker][pos] for worker, pos in positions]
-            attempts = sum(s.attempts for s in summaries)
-            successes = sum(s.successes for s in summaries)
-            stats.samples_drawn += attempts
-            stats.failed_samples += attempts - successes
             if self._vector:
                 # Mirror the worker-side kernel counters on the parent
                 # sampler so the solver's stats accounting sees them.
-                ctx.sampler.vector_batch_draws += attempts
-
-            # Consecutive-failure carry-out over the concatenated stream;
-            # a shard that hit the write-off cap locally prunes, exactly
-            # like the serial loop's running counter.
-            counter = carry
-            hit_cap = False
-            for summary in summaries:
-                hit_cap = hit_cap or summary.hit_cap
-                if summary.successes:
-                    counter = summary.trailing_failures
-                else:
-                    counter += summary.failures
-            ctx.failures[index] = counter
-            if hit_cap or counter >= MAX_CONSECUTIVE_FAILURES:
-                node_stats[index].pruned = True
-
-            kept = [pair for summary in summaries for pair in summary.kept]
-            if successes:
-                stat = node_stats[index]
-                for summary in summaries:
-                    stat.merge_summary(
-                        summary.successes,
-                        summary.min_w,
-                        summary.max_w,
-                        summary.mean,
-                        summary.m2,
-                    )
-                # Incumbent best: first occurrence (in concatenated draw
-                # order) of the stage maximum, compared strictly — the
-                # same tie-breaking as the serial per-sample update.
-                top = max(willingness for willingness, _ in kept)
-                if best_sample is None or top > best_sample.willingness:
-                    for willingness, indices in kept:
-                        if willingness == top:
-                            best_sample = self._make_sample(
-                                ctx, willingness, indices
-                            )
-                            break
-
-            patch = solver._merge_start_stage(index, successes, kept, stats)
+                ctx.sampler.vector_batch_draws += sum(
+                    summary.attempts for summary in summaries
+                )
+            patch = merge_start_stage(ctx, index, summaries)
             if patch is not None:
                 self._patch_log[index].append(patch)
                 self._patch_sizes[index].append(len(pickle.dumps(patch)))
@@ -322,11 +280,16 @@ class ShardedStageExecutor(StageExecutor):
                         "shards": list(zip(shard_counts, seeds)),
                         "carry": carry,
                         "keep_rank": keep_rank,
-                        "successes": successes,
-                        "kept": kept,
+                        "successes": sum(
+                            len(summary.willingness) for summary in summaries
+                        ),
+                        "kept": [
+                            pair
+                            for summary in summaries
+                            for pair in summary.kept
+                        ],
                     }
                 )
-        ctx.best_sample = best_sample
         if stage_trace is not None:
             self.trace[-1]["stages"].append(stage_trace)
 
@@ -378,14 +341,3 @@ class ShardedStageExecutor(StageExecutor):
             state.run_entry(entry)
             for entry in self._full_sync_entries(entries)
         ]
-
-    @staticmethod
-    def _make_sample(
-        ctx: StageContext, willingness: float, indices: "tuple[int, ...]"
-    ) -> Sample:
-        nodes = ctx.sampler.evaluator.compiled.nodes
-        return Sample(
-            members=frozenset(nodes[index] for index in indices),
-            willingness=willingness,
-            indices=tuple(indices),
-        )

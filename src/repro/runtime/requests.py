@@ -14,7 +14,9 @@ network front end).
 
 from __future__ import annotations
 
+import functools
 import inspect
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.algorithms.base import RngLike
@@ -41,6 +43,14 @@ _PROBLEM_KEYS = (
 _EXECUTION_ONLY_PARAMS = frozenset({"context"})
 
 
+@functools.lru_cache(maxsize=None)
+def _solver_params(solver: str) -> "Mapping[str, inspect.Parameter]":
+    """``solver``'s constructor parameters (read-only, cached per name)."""
+    from repro.algorithms.registry import solver_factory
+
+    return inspect.signature(solver_factory(solver)).parameters
+
+
 def valid_spec_keys(solver: str) -> "frozenset[str]":
     """Spec keys :func:`request_from_spec` accepts for ``solver``.
 
@@ -48,10 +58,7 @@ def valid_spec_keys(solver: str) -> "frozenset[str]":
     ones a serialized request cannot carry.  Raises ``ValueError`` for
     an unknown solver name.
     """
-    from repro.algorithms.registry import solver_factory
-
-    params = inspect.signature(solver_factory(solver)).parameters
-    return frozenset(params) - _EXECUTION_ONLY_PARAMS
+    return frozenset(_solver_params(solver)) - _EXECUTION_ONLY_PARAMS
 
 
 @dataclass
@@ -121,6 +128,23 @@ def _is_array(value) -> bool:
     return isinstance(value, (list, tuple))
 
 
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+#: Solver-kwarg checks by the type the solver's constructor declares.
+_DECLARED_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a number"),
+    "str": (_is_str, "a string"),
+    "Optional[int]": (lambda v: v is None or _is_int(v), "an int or null"),
+    "Optional[float]": (
+        lambda v: v is None or _is_number(v), "a number or null"
+    ),
+    "Optional[str]": (lambda v: v is None or _is_str(v), "a string or null"),
+}
+
+
 def _spec_value(spec: dict, key: str, valid, expected: str, default=None):
     """``spec[key]`` (``default`` when absent) after a type check.
 
@@ -155,7 +179,10 @@ def request_from_spec(graph: SocialGraph, spec: dict) -> SolveRequest:
     dropped into a request that then ignores its deadline.  So does a
     problem key of the wrong type: ``k`` must be an int, ``connected``
     a bool, ``seed`` an int or null, ``required`` / ``forbidden``
-    arrays and ``deadline_s`` a number (never a bool).
+    arrays and ``deadline_s`` a number (never a bool).  A solver kwarg
+    must have the type its constructor declares (``budget`` an int,
+    ``rho`` a number, ``m`` an int or null, ...): one mistyped request
+    must not fail the batch it would have been solved in.
     """
     if "k" not in spec:
         raise ValueError(f"request spec needs a 'k' field: {spec!r}")
@@ -200,6 +227,12 @@ def request_from_spec(graph: SocialGraph, spec: dict) -> SolveRequest:
             f"unknown request key(s) {', '.join(map(repr, unknown))} "
             f"for solver {solver!r}; valid keys: {valid}"
         )
+    params = _solver_params(solver)
+    for key in solver_kwargs:
+        declared = params[key].annotation
+        check = _DECLARED_TYPES.get(getattr(declared, "__name__", declared))
+        if check is not None:
+            _spec_value(solver_kwargs, key, *check)
     return SolveRequest(
         problem=problem,
         solver=solver,

@@ -4,9 +4,10 @@ The scalar :class:`~repro.algorithms.stage_exec.SerialStageExecutor`
 draws start-by-start against one shared RNG.  The vector executor
 instead collects *every* funded start's share into one
 :func:`~repro.vector.kernel.draw_stage_batch` call — the batch kernel
-scores and extends all of the stage's draws together — and then runs the
-scalar executor's exact per-start accounting over the returned batches
-in index order.
+scores and extends all of the stage's draws together — and then merges
+the returned batches in index order through the same
+:func:`~repro.algorithms.stage_exec.merge_start_stage` every executor
+uses.
 
 That reordering is semantically safe for the staged solvers: within a
 stage each start owns its own CE vector, so start ``i``'s refit never
@@ -21,17 +22,18 @@ vector runs consume identical randomness.
 
 from __future__ import annotations
 
-from repro.algorithms.sampling import seed_for_start
+from repro.algorithms.sampling import seed_for_start, summarize_shard
 from repro.algorithms.stage_exec import (
     MAX_CONSECUTIVE_FAILURES,
-    SerialStageExecutor,
     StageContext,
+    StageExecutor,
+    merge_start_stage,
 )
 
 __all__ = ["VectorSerialStageExecutor"]
 
 
-class VectorSerialStageExecutor(SerialStageExecutor):
+class VectorSerialStageExecutor(StageExecutor):
     """In-process stage execution through the batch kernel.
 
     Stateless across solves: the per-solve planned-draw ordinals live on
@@ -84,9 +86,16 @@ class VectorSerialStageExecutor(SerialStageExecutor):
             max_failures=MAX_CONSECUTIVE_FAILURES,
         )
 
-        for index, batch in zip(funded, batches):
+        for entry, batch in zip(entries, batches):
+            index = entry["start_key"]
             # Ordinals advance by the planned share, not the realized
             # batch length — positional randomness must not depend on
             # where a failure cap happened to truncate.
-            ordinals[index] += shares[index]
-            self._record_batch(ctx, index, batch)
+            ordinals[index] += entry["count"]
+            summary = summarize_shard(
+                batch,
+                solver._shard_keep_rank(entry["count"]),
+                max_failures=MAX_CONSECUTIVE_FAILURES,
+                carry_failures=entry["failures"],
+            )
+            merge_start_stage(ctx, index, [summary])

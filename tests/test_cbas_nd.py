@@ -1,10 +1,18 @@
 """Tests for CBAS-ND (cross-entropy neighbour differentiation)."""
 
+import random
+
 import pytest
 
+from repro.algorithms.base import SolveStats
 from repro.algorithms.cbas import CBAS
 from repro.algorithms.cbas_nd import CBASND, CBASNDG
+from repro.algorithms.sampling import ExpansionSampler
+from repro.algorithms.stage_exec import SerialStageExecutor, StageContext
+from repro.algorithms.start_nodes import select_start_nodes
+from repro.budget.ocba import StartNodeStats
 from repro.core.problem import WASOProblem
+from repro.core.willingness import evaluator_for
 
 
 class TestConstruction:
@@ -70,6 +78,41 @@ class TestSolve:
         )
         result = solver.solve(problem, rng=3)
         assert result.stats.extra.get("backtracks", 0) >= 1
+
+    @pytest.mark.parametrize("engine", ["compiled", "reference"])
+    def test_stage_without_elites_is_not_a_backtrack(
+        self, small_facebook, engine
+    ):
+        """A stage whose samples all fall below γ leaves the vector as it
+        is.  Nothing moved, so nothing is restored: no backtrack is
+        counted and none of ``max_backtracks`` is used up."""
+        problem = WASOProblem(graph=small_facebook, k=6)
+        evaluator = evaluator_for(small_facebook, engine)
+        starts = select_start_nodes(problem, evaluator, 3)
+        solver = CBASND(
+            backtrack_threshold=10.0, max_backtracks=2, engine=engine
+        )
+        solver._prepare(problem, starts, evaluator)
+        for vector in solver._vectors:
+            # An earlier stage's threshold no sample can reach.
+            vector.observe_stage_gamma(1e9)
+        before = [vector.snapshot() for vector in solver._vectors]
+        context = StageContext(
+            solver=solver,
+            problem=problem,
+            sampler=ExpansionSampler(problem, evaluator),
+            rng=random.Random(5),
+            starts=starts,
+            node_stats=[StartNodeStats(node=start) for start in starts],
+            failures=[0] * len(starts),
+            stats=SolveStats(),
+        )
+        SerialStageExecutor().run_stage(context, [10] * len(starts))
+        assert context.stats.samples_drawn == 30
+        assert context.best_sample is not None
+        assert "backtracks" not in context.stats.extra
+        assert [c.backtracks_used for c in solver._controllers] == [0] * 3
+        assert [vector.snapshot() for vector in solver._vectors] == before
 
     def test_no_backtracking_by_default(self, small_facebook):
         problem = WASOProblem(graph=small_facebook, k=6)

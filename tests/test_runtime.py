@@ -564,6 +564,17 @@ class TestSolveMany:
             ("forbidden", 3),
             ("deadline_s", True),
             ("deadline_s", "5"),
+            ("budget", "abc"),
+            ("budget", True),
+            ("budget", 60.5),
+            ("m", "3"),
+            ("stages", 2.5),
+            ("rho", "0.3"),
+            ("smoothing", False),
+            ("max_backtracks", 2.0),
+            ("backtrack_threshold", "1e-3"),
+            ("allocation", 1),
+            ("engine", 3),
         ],
     )
     def test_request_from_spec_rejects_mistyped_values(
@@ -576,6 +587,24 @@ class TestSolveMany:
         spec[key] = value
         with pytest.raises(ValueError, match=f"'{key}'"):
             request_from_spec(runtime_graph, spec)
+
+    def test_request_from_spec_accepts_declared_kwarg_types(
+        self, runtime_graph
+    ):
+        """Solver kwargs follow the constructor's declared types: an int
+        is a number, and the ``Optional`` ones take null."""
+        spec = {
+            "k": 5, "budget": 40, "m": None, "stages": 2, "rho": 1,
+            "smoothing": 0.5, "backtrack_threshold": None,
+            "allocation": "gaussian", "engine": None,
+        }
+        request = request_from_spec(runtime_graph, spec)
+        assert request.budget == 40
+        assert request.solver_kwargs["rho"] == 1
+        ip = request_from_spec(
+            runtime_graph, {"k": 5, "solver": "ip", "time_limit": 2}
+        )
+        assert ip.solver_kwargs == {"time_limit": 2}
 
 
 class TestServingSessionResidency:

@@ -681,6 +681,35 @@ class TestRequestValidation:
                 "message"
             ].startswith(f"{key} "), (name, error)
 
+    def test_mistyped_solver_kwarg_fails_only_its_own_request(
+        self, small_facebook, no_orphans
+    ):
+        """A mistyped solver kwarg is ``invalid`` at the front door: it
+        never joins a batch, so the good request that would have shared
+        the (stalled) first batch with it is still served."""
+        specs = [
+            {"id": "good", "k": 5, "budget": 40, "seed": 3},
+            {"id": "bad", "k": 5, "budget": "abc", "seed": 4},
+        ]
+
+        async def scenario():
+            daemon = ServingDaemon(
+                small_facebook,
+                fault_plan=FaultPlan(stalls={1: 0.3}),
+                **_daemon_kwargs(),
+            )
+            host, port = await daemon.start()
+            try:
+                return await _send_all(host, port, specs)
+            finally:
+                await daemon.shutdown()
+
+        replies = asyncio.run(scenario())
+        assert replies["good"]["ok"], replies["good"]
+        error = replies["bad"]["error"]
+        assert error["kind"] == "invalid", error
+        assert "'budget'" in error["message"]
+
     def test_cbas_nd_g_typo_is_invalid_at_the_front_door(
         self, small_facebook, no_orphans
     ):

@@ -13,7 +13,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.algorithms.base import SolveStats
 from repro.algorithms.cbas import CBAS
 from repro.algorithms.cbas_nd import CBASND
 from repro.algorithms.sampling import (
@@ -22,7 +25,13 @@ from repro.algorithms.sampling import (
     seed_for_start,
     summarize_shard,
 )
-from repro.algorithms.stage_exec import MAX_CONSECUTIVE_FAILURES
+from repro.algorithms.stage_exec import (
+    MAX_CONSECUTIVE_FAILURES,
+    StageContext,
+    merge_start_stage,
+)
+from repro.budget.ocba import StartNodeStats
+from repro.graph.generators import facebook_like
 from repro.ce.probability import SelectionProbabilities, elite_threshold
 from repro.core.problem import WASOProblem
 from repro.core.willingness import evaluator_for
@@ -51,12 +60,10 @@ class TestSummarizeShard:
         batch = [_sample((0, 1), 5.0), None, _sample((1, 2), 3.0), None, None]
         summary = summarize_shard(batch, keep_rank=1)
         assert summary.attempts == 5
-        assert summary.successes == 2
-        assert summary.failures == 3
+        # Every success's willingness, in draw order: the merge records
+        # the OCBA moments from these exactly as a serial loop would.
+        assert summary.willingness == (5.0, 3.0)
         assert summary.trailing_failures == 2
-        assert summary.min_w == 3.0
-        assert summary.max_w == 5.0
-        assert summary.mean == pytest.approx(4.0)
         # keep_rank=1 retains only the best sample.
         assert summary.kept == ((5.0, (0, 1)),)
 
@@ -77,7 +84,7 @@ class TestSummarizeShard:
             batch, keep_rank=1, max_failures=5, carry_failures=3
         )
         assert summary.hit_cap
-        assert summary.successes == 0
+        assert summary.willingness == ()
         no_carry = summarize_shard(batch, keep_rank=1, max_failures=5)
         assert not no_carry.hit_cap
 
@@ -88,6 +95,164 @@ class TestSummarizeShard:
         )
         assert summary.trailing_failures == 0
         assert not summary.hit_cap
+
+
+#: A small grid of willingness values: ties are frequent, and none of
+#: the values is exact in binary.
+_WILLINGNESS = st.integers(0, 6).map(lambda i: 0.1 + 0.7 * i)
+
+
+def _bits(values):
+    """Floats compared bit for bit."""
+    return tuple(float.hex(float(value)) for value in values)
+
+
+@st.composite
+def _merge_case(draw):
+    """One start's stage: a draw-ordered batch cut into shards.
+
+    The batch is one a serial draw loop could have produced from the
+    carry-in failure counter: it ends at the write-off cap at the
+    latest.  Members are random 3-sets of compiled ids.
+    """
+    carry = draw(st.integers(0, MAX_CONSECUTIVE_FAILURES - 1))
+    draws = draw(
+        st.lists(
+            st.one_of(
+                st.none(),
+                st.tuples(
+                    _WILLINGNESS,
+                    st.lists(
+                        st.integers(0, 11), min_size=3, max_size=3,
+                        unique=True,
+                    ),
+                ),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    batch = []
+    counter = carry
+    for item in draws:
+        if item is None:
+            batch.append(None)
+            counter += 1
+            if counter >= MAX_CONSECUTIVE_FAILURES:
+                break
+            continue
+        counter = 0
+        willingness, ids = item
+        batch.append(Sample(frozenset(ids), willingness, tuple(ids)))
+    cuts = draw(
+        st.lists(st.integers(1, len(batch) - 1), max_size=3, unique=True)
+        if len(batch) > 1
+        else st.just([])
+    )
+    bounds = [0, *sorted(cuts), len(batch)]
+    return {
+        "carry": carry,
+        "batch": batch,
+        "shards": [batch[low:high] for low, high in zip(bounds, bounds[1:])],
+        "share": len(batch) + draw(st.integers(0, 5)),
+        "prior": draw(st.lists(_WILLINGNESS, max_size=3)),
+        "gamma": draw(st.sampled_from([-math.inf, 1.5, 2.9, 4.3])),
+        "incumbent": draw(st.sampled_from([None, 2.2, 3.6, 9.9])),
+        "backtrack": draw(st.sampled_from([None, 1e-3, 10.0])),
+    }
+
+
+class TestOneMerge:
+    """Merging a start's shard summaries equals merging one summary of
+    the whole batch: the stage merge every executor runs does not depend
+    on how a stage's draws were cut up."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return facebook_like(30, seed=3)
+
+    def _fold(self, graph, engine, case, pieces):
+        problem = WASOProblem(graph=graph, k=3)
+        evaluator = evaluator_for(graph, engine)
+        sampler = ExpansionSampler(problem, evaluator)
+        solver = CBASND(
+            rho=0.3,
+            smoothing=0.9,
+            backtrack_threshold=case["backtrack"],
+            max_backtracks=1,
+            engine=engine,
+        )
+        start = graph.node_list()[0]
+        solver._prepare(problem, [start], evaluator)
+        vector = solver._vectors[0]
+        vector.observe_stage_gamma(case["gamma"])
+        node_stats = StartNodeStats(node=start)
+        for willingness in case["prior"]:
+            node_stats.record(willingness)
+        incumbent = case["incumbent"]
+        ctx = StageContext(
+            solver=solver,
+            problem=problem,
+            sampler=sampler,
+            rng=random.Random(0),
+            starts=[start],
+            node_stats=[node_stats],
+            failures=[case["carry"]],
+            stats=SolveStats(),
+            best_sample=(
+                None
+                if incumbent is None
+                else Sample(frozenset({"incumbent"}), incumbent)
+            ),
+        )
+        nodes = graph.node_list()
+        keep_rank = solver._shard_keep_rank(case["share"])
+        summaries = []
+        for position, piece in enumerate(pieces):
+            if engine == "reference":
+                # Reference-path samples carry member sets, not ids.
+                piece = [
+                    None
+                    if sample is None
+                    else Sample(
+                        frozenset(nodes[i] for i in sample.indices),
+                        sample.willingness,
+                    )
+                    for sample in piece
+                ]
+            summaries.append(
+                summarize_shard(
+                    piece,
+                    keep_rank,
+                    max_failures=MAX_CONSECUTIVE_FAILURES,
+                    carry_failures=case["carry"] if position == 0 else 0,
+                )
+            )
+        patch = merge_start_stage(ctx, 0, summaries)
+        return {
+            "counts": (
+                ctx.stats.samples_drawn,
+                ctx.stats.failed_samples,
+                ctx.failures[0],
+                node_stats.pruned,
+            ),
+            "stats": _bits(
+                (node_stats.c, node_stats.d, node_stats.n, node_stats._mean,
+                 node_stats._m2)
+            ),
+            "incumbent": ctx.best_sample,
+            "vector": _bits([*vector.snapshot(), vector.gamma]),
+            "patch": repr(patch),
+            "backtracks": ctx.stats.extra.get("backtracks"),
+        }
+
+    @pytest.mark.parametrize("engine", ["compiled", "reference"])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=_merge_case())
+    def test_shards_merge_like_the_whole_batch(self, graph, engine, case):
+        whole = self._fold(graph, engine, case, [case["batch"]])
+        sharded = self._fold(graph, engine, case, case["shards"])
+        assert sharded == whole
 
 
 class TestUpdateFromCounts:

@@ -395,12 +395,12 @@ class TestVectorDeterminism:
     def problem(self):
         return WASOProblem(graph=facebook_like(220, seed=77), k=8)
 
-    def _solve(self, problem, mode, workers=None, solver="cbas-nd"):
+    def _solve(self, problem, mode, workers=None, solver="cbas-nd", **extra):
         with ExecutionContext(
             engine="vector", mode=mode, workers=workers
         ) as context:
             built = context.make_solver(
-                solver, budget=240, stages=4, m=8
+                solver, budget=240, stages=4, m=8, **extra
             )
             return built.solve(problem, rng=1234)
 
@@ -412,12 +412,40 @@ class TestVectorDeterminism:
         assert first.solution.willingness == second.solution.willingness
         assert first.stats.samples_drawn == second.stats.samples_drawn
 
-    @pytest.mark.parametrize("solver", ["cbas", "cbas-nd"])
-    def test_serial_matches_sharded_any_worker_count(self, problem, solver):
-        serial = self._solve(problem, "serial", solver=solver)
+    @pytest.mark.parametrize(
+        "solver, extra",
+        [
+            pytest.param("cbas", {}, id="cbas"),
+            pytest.param("cbas-nd", {}, id="cbas-nd"),
+            pytest.param("cbas-nd-g", {}, id="cbas-nd-g"),
+            pytest.param(
+                "cbas-nd",
+                {"backtrack_threshold": 1e-3, "max_backtracks": 2},
+                id="cbas-nd-backtrack-1e-3",
+            ),
+            pytest.param(
+                "cbas-nd",
+                {"backtrack_threshold": 10.0, "max_backtracks": 2},
+                id="cbas-nd-backtrack-10",
+            ),
+        ],
+    )
+    def test_serial_matches_sharded_any_worker_count(
+        self, problem, solver, extra
+    ):
+        """Every executor folds its draws through one stage merge, so
+        serial and stage-sharded vector runs agree — backtracking and
+        Gaussian allocation included."""
+        serial = self._solve(problem, "serial", solver=solver, **extra)
         for workers in (2, 3):
             sharded = self._solve(
-                problem, "stage", workers=workers, solver=solver
+                problem, "stage", workers=workers, solver=solver, **extra
+            )
+            assert sharded.stats.extra["stage_best"] == (
+                serial.stats.extra["stage_best"]
+            )
+            assert sharded.stats.extra.get("backtracks") == (
+                serial.stats.extra.get("backtracks")
             )
             assert sharded.solution.members == serial.solution.members
             assert (
