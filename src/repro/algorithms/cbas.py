@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.algorithms.base import ContextSolver, SolveResult, SolveStats
-from repro.algorithms.sampling import ExpansionSampler, Sample
-from repro.algorithms.stage_exec import MAX_CONSECUTIVE_FAILURES, StageContext
+from repro.algorithms.sampling import ExpansionSampler
+from repro.algorithms.stage_exec import StageContext
 from repro.algorithms.start_nodes import default_start_count, select_start_nodes
 from repro.budget.ocba import (
     StartNodeStats,
@@ -37,6 +37,7 @@ from repro.core.willingness import (
 from repro.exceptions import BudgetExhaustedError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.ce.probability import SelectionProbabilities
     from repro.runtime.context import ExecutionContext
 
 __all__ = ["CBAS", "CBASWarmState"]
@@ -146,41 +147,34 @@ class CBAS(ContextSolver):
         sampler = ExpansionSampler(problem, evaluator)
         m = self.m if self.m is not None else default_start_count(problem)
         warm = self.warm_state
-        starts = (
+        warm_starts = (
             self._warm_start_nodes(problem, warm, m)
             if warm is not None
             else []
         )
-        warm_used = bool(starts)
-        if not starts:
-            if self.start_selection == "random":
+        # Declines can shrink the previous solution's region below k
+        # while another component stays viable: when every reused start
+        # is written off, rank cold instead of burning the whole budget
+        # on zero draws.
+        for warm_used in (True, False) if warm_starts else (False,):
+            if warm_used:
+                starts = warm_starts
+            elif self.start_selection == "random":
                 starts = self._random_starts(problem, m, rng)
             else:
                 starts = select_start_nodes(problem, evaluator, m)
+            node_stats = [StartNodeStats(node=start) for start in starts]
+            self._prepare(problem, starts, evaluator)
+            skipped = self._prune_undersized_components(
+                problem, starts, node_stats
+            )
+            if not all(stat.pruned for stat in node_stats):
+                break
         stage_total = self._stage_count(problem, len(starts))
-
-        node_stats = [StartNodeStats(node=start) for start in starts]
         failures = [0] * len(starts)
         stats = SolveStats()
-        self._prepare(problem, starts, evaluator)
-        self._prune_undersized_components(problem, starts, node_stats, stats)
-        if warm_used and all(stat.pruned for stat in node_stats):
-            # Declines can shrink the previous solution's region below k
-            # while another component stays viable: every reused start
-            # just got written off, so fall back to a cold ranking
-            # instead of burning the whole budget on zero draws.
-            warm_used = False
-            if self.start_selection == "random":
-                starts = self._random_starts(problem, m, rng)
-            else:
-                starts = select_start_nodes(problem, evaluator, m)
-            stage_total = self._stage_count(problem, len(starts))
-            node_stats = [StartNodeStats(node=start) for start in starts]
-            failures = [0] * len(starts)
-            self._prepare(problem, starts, evaluator)
-            self._prune_undersized_components(
-                problem, starts, node_stats, stats
-            )
+        if skipped:
+            stats.extra["skipped_small_components"] = skipped
 
         # The context picks the stage strategy — serial by default,
         # stage-sharded when its cost model (or a forced mode) says this
@@ -246,15 +240,12 @@ class CBAS(ContextSolver):
         stats.extra["pruned_start_nodes"] = sum(
             1 for stat in node_stats if stat.pruned
         )
-        # Vectorization accounting (satellite of the vector engine):
-        # written only when non-zero so non-vector runs' stats stay
-        # byte-identical to the historical output.
+        # Vectorization accounting: written only when non-zero so
+        # non-vector runs' stats stay byte-identical to the historical
+        # output.
         batched = getattr(sampler, "vector_batch_draws", 0)
         if batched:
             stats.extra["vector_batch_draws"] = batched
-        fallback = getattr(sampler, "vector_fallback_draws", 0)
-        if fallback:
-            stats.extra["vector_fallback_draws"] = fallback
         solution = GroupSolution(
             members=best_sample.members, willingness=best_sample.willingness
         )
@@ -266,16 +257,16 @@ class CBAS(ContextSolver):
         problem: WASOProblem,
         starts: list,
         node_stats: list[StartNodeStats],
-        stats: SolveStats,
-    ) -> None:
+    ) -> int:
         """Write off start nodes whose component cannot hold ``k`` members.
 
         Every expansion from such a start is doomed; pruning them up front
         redirects their budget instead of burning it on
-        ``MAX_CONSECUTIVE_FAILURES`` stalls per start.
+        ``MAX_CONSECUTIVE_FAILURES`` stalls per start.  Returns how many
+        starts were written off.
         """
         if not problem.connected:
-            return
+            return 0
         if self.engine in ("compiled", "vector") and not problem.forbidden:
             # No forbidden nodes: allowed-induced components equal the
             # graph's components, which the frozen index already labelled.
@@ -290,8 +281,7 @@ class CBAS(ContextSolver):
             if sizes.get(start, 0) < problem.k:
                 node_stats[index].pruned = True
                 skipped += 1
-        if skipped:
-            stats.extra["skipped_small_components"] = skipped
+        return skipped
 
     # ------------------------------------------------------------------
     # Warm start (§4.4.1 online re-planning)
@@ -349,37 +339,17 @@ class CBAS(ContextSolver):
     ) -> None:
         """Per-solve setup hook (CBAS-ND builds its probability vectors)."""
 
-    def _draw_batch(
-        self,
-        sampler: ExpansionSampler,
-        seed: set,
-        rng: random.Random,
-        start_index: int,
-        count: int,
-        failures: int,
-    ) -> list[Optional[Sample]]:
-        """One start node's expansions for a stage; CBAS draws uniformly."""
-        return sampler.draw_batch(
-            seed,
-            rng,
-            count,
-            failures=failures,
-            max_failures=MAX_CONSECUTIVE_FAILURES,
-        )
-
     # ------------------------------------------------------------------
-    # Shard-protocol hooks (stage-sharded execution; see stage_pool)
+    # Stage-draw hooks (every executor; see stage_exec and stage_pool)
     # ------------------------------------------------------------------
     def _shard_mode(self) -> str:
-        """How pool workers bias their frontier draws for this solver."""
+        """How stage draws bias the frontier for this solver."""
         return "uniform"
 
-    def _stage_weight_array(self, start_index: int) -> "list | None":
-        """Per-start frontier weight row for the vector kernel's CE mode.
-
-        ``None`` for uniform CBAS; CBAS-ND returns the start's
-        probability array.
-        """
+    def _stage_vector(
+        self, start_index: int
+    ) -> "SelectionProbabilities | None":
+        """The start's CE vector for ``"ce"`` draws; uniform CBAS has none."""
         return None
 
     def _shard_keep_rank(self, share: int) -> int:

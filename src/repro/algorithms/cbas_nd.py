@@ -25,13 +25,10 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from typing import TYPE_CHECKING, Optional
 
 from repro.algorithms.base import SolveStats
 from repro.algorithms.cbas import CBAS, CBASWarmState
-from repro.algorithms.sampling import ExpansionSampler, Sample
-from repro.algorithms.stage_exec import MAX_CONSECUTIVE_FAILURES
 from repro.ce.convergence import BacktrackController
 from repro.ce.probability import SelectionProbabilities
 from repro.core.problem import WASOProblem
@@ -172,52 +169,21 @@ class CBASND(CBAS):
             for _ in starts
         ]
 
-    def _draw_batch(
-        self,
-        sampler: ExpansionSampler,
-        seed: set,
-        rng: random.Random,
-        start_index: int,
-        count: int,
-        failures: int,
-    ) -> list[Optional[Sample]]:
-        vector = self._vectors[start_index]
-        array = vector.array
-        if array is not None and sampler.is_compiled:
-            # Array-backed vector + int frontier: each frontier weight is
-            # one list index, no per-slot dict probe.
-            return sampler.draw_batch(
-                seed,
-                rng,
-                count,
-                weight_array=array,
-                failures=failures,
-                max_failures=MAX_CONSECUTIVE_FAILURES,
-            )
-        return sampler.draw_batch(
-            seed,
-            rng,
-            count,
-            weight_of=vector.probability,
-            failures=failures,
-            max_failures=MAX_CONSECUTIVE_FAILURES,
-        )
-
     def _export_warm_state(self, starts: list) -> CBASWarmState:
         state = super()._export_warm_state(starts)
         state.vectors = dict(zip(starts, self._vectors))
         return state
 
     # ------------------------------------------------------------------
-    # Shard-protocol hooks (stage-sharded execution)
+    # Stage-draw hooks (every executor)
     # ------------------------------------------------------------------
     def _shard_mode(self) -> str:
-        """Pool workers weight frontier draws by mirrored CE vectors."""
+        """Stage draws weight the frontier by the start's CE vector."""
         return "ce"
 
-    def _stage_weight_array(self, start_index: int):
-        """The start's probability array for the vector kernel's CE mode."""
-        return self._vectors[start_index].array
+    def _stage_vector(self, start_index: int) -> SelectionProbabilities:
+        """The CE vector start ``start_index``'s serial draws read."""
+        return self._vectors[start_index]
 
     def _shard_keep_rank(self, share: int) -> int:
         """Elite retention rank ``⌈ρ · share⌉`` for a stage share.

@@ -75,28 +75,30 @@ class RGreedy(ContextSolver):
         starts = select_start_nodes(problem, evaluator, m)
 
         per_start = max(1, self.budget // max(1, len(starts)))
+        # No write-off cap, so each start's count is a pure function of
+        # the budget split: the whole solve is planned and drawn as one
+        # stage.
+        entries = []
+        planned = 0
+        for index, start in enumerate(starts):
+            count = min(per_start, self.budget - planned)
+            if count <= 0:
+                break
+            entries.append(
+                {
+                    "start_key": index,
+                    "seed": seed_for_start(problem, start),
+                    "first_draw": 0,
+                    "count": count,
+                    "failures": 0,
+                }
+            )
+            planned += count
+        if sampler.is_vector:
+            sampler.vector_key = rng.getrandbits(64)
         stats = SolveStats()
         best_sample = None
-        if sampler.is_vector:
-            batches = self._draw_all_vector(
-                problem, sampler, rng, starts, per_start
-            )
-        else:
-            batches = None
-        for index, start in enumerate(starts):
-            remaining = self.budget - stats.samples_drawn
-            if remaining <= 0:
-                break
-            if batches is not None:
-                batch = batches[index]
-            else:
-                seed = seed_for_start(problem, start)
-                # Batched per start: same draw count and RNG stream as
-                # the historical draw-at-a-time loop, one seed-state
-                # resolve.
-                batch = sampler.draw_batch(
-                    seed, rng, min(per_start, remaining), greedy_bias=True
-                )
+        for batch in sampler.draw_stage(entries, "greedy", None, rng):
             for sample in batch:
                 stats.samples_drawn += 1
                 if sample is None:
@@ -110,9 +112,6 @@ class RGreedy(ContextSolver):
         batched = getattr(sampler, "vector_batch_draws", 0)
         if batched:
             stats.extra["vector_batch_draws"] = batched
-        fallback = getattr(sampler, "vector_fallback_draws", 0)
-        if fallback:
-            stats.extra["vector_fallback_draws"] = fallback
 
         if best_sample is None:
             raise BudgetExhaustedError(
@@ -123,39 +122,3 @@ class RGreedy(ContextSolver):
         )
         stats.extra["start_nodes"] = len(starts)
         return SolveResult(solution=solution, stats=stats)
-
-    def _draw_all_vector(
-        self,
-        problem: WASOProblem,
-        sampler: ExpansionSampler,
-        rng: random.Random,
-        starts: list,
-        per_start: int,
-    ) -> "list[list]":
-        """Every start's greedy batch in one vector-kernel call.
-
-        RGreedy never truncates a batch (no failure cap), so each
-        start's draw count is a pure function of the budget split and
-        the whole solve can be planned — and drawn — up front.
-        """
-        sampler.vector_key = rng.getrandbits(64)
-        entries = []
-        planned = 0
-        for index, start in enumerate(starts):
-            remaining = self.budget - planned
-            if remaining <= 0:
-                break
-            count = min(per_start, remaining)
-            entries.append(
-                {
-                    "start_key": index,
-                    "seed": seed_for_start(problem, start),
-                    "first_draw": 0,
-                    "count": count,
-                    "failures": 0,
-                }
-            )
-            planned += count
-        batches = sampler.draw_batch_vector(entries, mode="greedy")
-        batches.extend([] for _ in range(len(starts) - len(batches)))
-        return batches

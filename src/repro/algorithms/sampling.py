@@ -35,6 +35,11 @@ a flat ``weight_array`` indexed by compiled id (one list index per slot
 instead of a dict probe per node), and :meth:`ExpansionSampler.draw_batch`
 resolves the cached per-seed state once for a whole run of draws from the
 same start node.
+
+Solvers and stage executors draw through one entry point,
+:meth:`ExpansionSampler.draw_stage`: every funded start's share of a
+stage in one call, which is one batch-kernel call on the vector engine
+and one :meth:`~ExpansionSampler.draw_batch` per start on the others.
 """
 
 from __future__ import annotations
@@ -87,8 +92,8 @@ class ShardSummary(NamedTuple):
     """Compact result of one batch of draws for a (start node, stage) pair.
 
     Every stage executor reduces a start's draws to this summary — the
-    serial executors once per start, stage-pool workers once per shard —
-    and folds the start's summaries, in draw order, through
+    in-process executor once per start, stage-pool workers once per
+    shard — and folds the start's summaries, in draw order, through
     :func:`~repro.algorithms.stage_exec.merge_start_stage`.
 
     ``willingness`` lists every success's willingness in draw order, so
@@ -103,30 +108,28 @@ class ShardSummary(NamedTuple):
     the shards' kept lists provably contains the merged stream's full
     elite set, ties at the threshold included.
 
-    ``trailing_failures`` counts the consecutive failed draws at the
-    end of the batch and ``hit_cap`` reports an early stop at the
-    consecutive-failure write-off limit.
+    ``leading_failures`` counts the failed draws before the first
+    success and ``trailing_failures`` the consecutive failed draws at
+    the end of the batch (both equal ``attempts`` when nothing
+    succeeded).  The merge needs no more to apply the
+    consecutive-failure write-off cap to the start's whole draw stream:
+    a shard drawn with a fresh counter can run past the point where the
+    serial stream stops only within its leading failures.
     """
 
     attempts: int
+    leading_failures: int
     trailing_failures: int
-    hit_cap: bool
     willingness: "tuple[float, ...]"
     kept: "tuple[tuple[float, tuple[int, ...] | frozenset], ...]"
 
 
 def summarize_shard(
-    batch: "Sequence[Optional[Sample]]",
-    keep_rank: int,
-    max_failures: Optional[int] = None,
-    carry_failures: int = 0,
+    batch: "Sequence[Optional[Sample]]", keep_rank: int
 ) -> ShardSummary:
     """Reduce one draw-ordered batch to a :class:`ShardSummary`.
 
-    ``keep_rank`` is the elite retention rank (at least 1);
-    ``max_failures`` / ``carry_failures`` mirror the write-off cap and
-    the seeded consecutive-failure counter the batch was drawn with, so
-    ``hit_cap`` reflects the same counter the draw loop stopped on.
+    ``keep_rank`` is the elite retention rank (at least 1).
     """
     if keep_rank < 1:
         raise ValueError(f"keep_rank must be positive, got {keep_rank}")
@@ -138,12 +141,16 @@ def summarize_shard(
         for sample in batch
         if sample is not None
     ]
+    leading = 0
+    for sample in batch:
+        if sample is not None:
+            break
+        leading += 1
     trailing = 0
     for sample in reversed(batch):
         if sample is not None:
             break
         trailing += 1
-    counter_end = trailing if pairs else carry_failures + len(batch)
     willingness = tuple(map(itemgetter(0), pairs))
     # A stable sort: ties keep their draw order, so ``kept[0]`` is the
     # first occurrence of the batch maximum.
@@ -155,8 +162,8 @@ def summarize_shard(
             end += 1
     return ShardSummary(
         len(batch),
+        leading,
         trailing,
-        max_failures is not None and counter_end >= max_failures,
         willingness,
         tuple(pairs[:end]),
     )
@@ -279,11 +286,10 @@ class ExpansionSampler:
             # functions of the seed set, shared by every draw from it.
             self._seed_cache: dict[frozenset, tuple] = {}
             # Vector-engine state: the solve-level Philox base key (set
-            # by the solver once per solve) and the batched/fallback
-            # draw counters surfaced through ``SolveStats.extra``.
+            # by the solver once per solve) and the batched draw counter
+            # surfaced through ``SolveStats.extra``.
             self.vector_key: Optional[int] = None
             self.vector_batch_draws = 0
-            self.vector_fallback_draws = 0
 
     # ------------------------------------------------------------------
     @functools.cached_property
@@ -339,8 +345,6 @@ class ExpansionSampler:
         """
         self._validate_bias(weight_of, greedy_bias, weight_array)
         if self._compiled is not None:
-            if self.is_vector:
-                self.vector_fallback_draws += 1
             return self._draw_fast(
                 self._seed_state(seed), rng, weight_of, weight_array,
                 greedy_bias,
@@ -426,8 +430,6 @@ class ExpansionSampler:
                         break
                 else:
                     failures = 0
-            if self.is_vector:
-                self.vector_fallback_draws += len(samples)
             return samples
         if weight_array is not None:
             raise ValueError(
@@ -448,6 +450,64 @@ class ExpansionSampler:
         return samples
 
     # ------------------------------------------------------------------
+    def draw_stage(
+        self,
+        entries: "list[dict]",
+        mode: str,
+        vectors: "Optional[Sequence]",
+        rng: Optional[random.Random],
+        max_failures: Optional[int] = None,
+    ) -> "list[list[Optional[Sample]]]":
+        """One stage's draws for several starts: one batch per entry.
+
+        Every solver and executor draws a stage through here.  Entries
+        are the dicts :meth:`draw_batch_vector` takes; ``mode`` picks
+        the frontier bias — ``"uniform"`` (CBAS), ``"ce"`` (CBAS-ND,
+        one :class:`~repro.ce.probability.SelectionProbabilities` per
+        entry in ``vectors``) or ``"greedy"`` (RGreedy).  The vector
+        engine draws every entry in one :meth:`draw_batch_vector` call
+        at its planned ordinals and never reads ``rng``; the compiled
+        and reference engines run :meth:`draw_batch` per entry, in
+        entry order, from ``rng``.  Each batch stops at
+        ``max_failures`` consecutive failures, counted from the entry's
+        ``failures``.
+        """
+        if self.is_vector:
+            return self.draw_batch_vector(
+                entries,
+                mode=mode,
+                weight_rows=(
+                    [vector.array for vector in vectors]
+                    if mode == "ce"
+                    else None
+                ),
+                max_failures=max_failures,
+            )
+        batches = []
+        for position, entry in enumerate(entries):
+            weight_of = weight_array = None
+            if mode == "ce":
+                # Compiled-domain vectors weight the int frontier by
+                # array slot; local-domain ones map node ids.
+                vector = vectors[position]
+                if self._compiled is not None:
+                    weight_array = vector.array
+                else:
+                    weight_of = vector.probability
+            batches.append(
+                self.draw_batch(
+                    entry["seed"],
+                    rng,
+                    entry["count"],
+                    weight_of=weight_of,
+                    greedy_bias=mode == "greedy",
+                    weight_array=weight_array,
+                    failures=entry["failures"],
+                    max_failures=max_failures,
+                )
+            )
+        return batches
+
     def draw_batch_vector(
         self,
         entries: "list[dict]",

@@ -11,31 +11,31 @@ This module factors the inner loop behind a strategy object so every
 execution mode shares the solver's stage skeleton (allocation, pruning,
 write-off policy, warm starts):
 
-* :class:`SerialStageExecutor` — the default in-process loop, start by
-  start against the one shared RNG.
-* :class:`~repro.vector.stage_exec.VectorSerialStageExecutor` — every
-  funded start's share in one batch-kernel call.
+* :class:`SerialStageExecutor` — the in-process loop on every engine:
+  one :meth:`~repro.algorithms.sampling.ExpansionSampler.draw_stage`
+  call draws every funded start's share, then the starts merge in
+  index order.
 * :class:`~repro.parallel.stage_pool.ShardedStageExecutor` — each funded
   start's share split across the persistent worker pool
   (:class:`~repro.parallel.pool.ResidentPool`), the process-based
   equivalent of the paper's OpenMP loop.
 
-All three reduce a start's draws with
+Both reduce a start's draws with
 :func:`~repro.algorithms.sampling.summarize_shard` and fold them through
 one :func:`merge_start_stage`: draw and failure counts, the write-off,
 OCBA statistics, the incumbent and the solver's CE refit.
 
 The solver owns everything problem-specific through its hook methods:
-``_draw_batch`` (the serial draws), ``_merge_start_stage`` (the refit),
-and the shard-protocol hooks ``_shard_mode``, ``_shard_keep_rank``,
-``_stage_weight_array`` and ``_shard_initial_vectors``; executors only
-orchestrate where and when draws happen.
+``_shard_mode`` (the frontier bias), ``_stage_vector`` (a start's CE
+vector), ``_shard_keep_rank``, ``_shard_initial_vectors`` and
+``_merge_start_stage`` (the refit); executors only orchestrate where and
+when draws happen.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 from typing import Optional
@@ -85,6 +85,14 @@ class StageContext:
     failures: "list[int]"
     stats: SolveStats
     best_sample: Optional[Sample] = None
+    #: Each start's planned draw ordinal: the vector engine's Philox
+    #: counter position.  It advances by the full share every stage,
+    #: however early the write-off cap stops the draws, so a draw's
+    #: randomness depends only on the allocation sequence.
+    ordinals: "list[int]" = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.ordinals = [0] * len(self.starts)
 
 
 def merge_start_stage(
@@ -93,22 +101,32 @@ def merge_start_stage(
     """Fold start ``index``'s stage summaries, in draw order, into ``ctx``.
 
     The consecutive-failure counter carries across the summaries and
-    writes the start off at the cap; every success's willingness is
-    recorded in the OCBA statistics; the incumbent becomes the first
-    occurrence of a strictly better maximum.  Returns the vector-sync
-    patch of the solver's ``_merge_start_stage`` refit (``None`` when
-    there is nothing to sync).
+    writes the start off at the cap exactly where one serial loop over
+    the concatenated draws would stop: a summary whose leading failures
+    take the counter to the cap adds only the draws up to it, and later
+    summaries (shards drawn past the stop) add nothing.  Every counted
+    success's willingness is recorded in the OCBA statistics; the
+    incumbent becomes the first occurrence of a strictly better maximum.
+    Returns the vector-sync patch of the solver's ``_merge_start_stage``
+    refit (``None`` when there is nothing to sync).
     """
     stats = ctx.stats
     node_stat = ctx.node_stats[index]
     counter = ctx.failures[index]
-    hit_cap = False
     successes = 0
-    for summary in summaries:
+    for position, summary in enumerate(summaries):
+        if counter + summary.leading_failures >= MAX_CONSECUTIVE_FAILURES:
+            stopped = MAX_CONSECUTIVE_FAILURES - counter
+            stats.samples_drawn += stopped
+            stats.failed_samples += stopped
+            counter = MAX_CONSECUTIVE_FAILURES
+            # The cut falls before this summary's first success, so its
+            # elites and those of every later summary are left out.
+            summaries = summaries[:position]
+            break
         values = summary.willingness
         stats.samples_drawn += summary.attempts
         stats.failed_samples += summary.attempts - len(values)
-        hit_cap = hit_cap or summary.hit_cap
         if values:
             counter = summary.trailing_failures
             successes += len(values)
@@ -117,7 +135,7 @@ def merge_start_stage(
         else:
             counter += summary.attempts
     ctx.failures[index] = counter
-    if hit_cap or counter >= MAX_CONSECUTIVE_FAILURES:
+    if counter >= MAX_CONSECUTIVE_FAILURES:
         node_stat.pruned = True
     if not successes:
         return None
@@ -150,32 +168,44 @@ class StageExecutor:
 
 
 class SerialStageExecutor(StageExecutor):
-    """In-process stage execution against the one shared RNG.
+    """In-process stage execution, on every engine.
 
-    Starts draw in index order, one batch per (start, stage), and each
-    start's batch is merged before the next start draws.
+    Draws every funded start's share with one sampler call (from the
+    solve's one RNG on the scalar engines), then merges the starts in
+    index order.  Drawing all before merging any changes nothing: a
+    merge reads no randomness and touches only its own start's vector,
+    counter and statistics.
     """
 
     def run_stage(self, ctx: StageContext, shares: "list[int]") -> None:
         solver = ctx.solver
-        for index, share in enumerate(shares):
-            if share == 0 or ctx.node_stats[index].pruned:
-                continue
-            carry = ctx.failures[index]
-            # The sampler resolves the cached seed state once and stops
-            # early at the consecutive-failure cap.
-            batch = solver._draw_batch(
-                ctx.sampler,
-                seed_for_start(ctx.problem, ctx.starts[index]),
-                ctx.rng,
-                index,
-                share,
-                carry,
-            )
+        funded = [
+            index
+            for index, share in enumerate(shares)
+            if share and not ctx.node_stats[index].pruned
+        ]
+        if not funded:
+            return
+        entries = [
+            {
+                "start_key": index,
+                "seed": seed_for_start(ctx.problem, ctx.starts[index]),
+                "first_draw": ctx.ordinals[index],
+                "count": shares[index],
+                "failures": ctx.failures[index],
+            }
+            for index in funded
+        ]
+        batches = ctx.sampler.draw_stage(
+            entries,
+            solver._shard_mode(),
+            [solver._stage_vector(index) for index in funded],
+            ctx.rng,
+            MAX_CONSECUTIVE_FAILURES,
+        )
+        for index, batch in zip(funded, batches):
+            ctx.ordinals[index] += shares[index]
             summary = summarize_shard(
-                batch,
-                solver._shard_keep_rank(share),
-                max_failures=MAX_CONSECUTIVE_FAILURES,
-                carry_failures=carry,
+                batch, solver._shard_keep_rank(shares[index])
             )
             merge_start_stage(ctx, index, [summary])

@@ -166,15 +166,15 @@ class _WorkerSolveState:
     def __init__(self, compiled, spec: dict) -> None:
         self.solve_id = spec["solve_id"]
         problem = problem_from_payload_spec(compiled, spec["problem"])
-        self.engine = spec.get("engine", "compiled")
-        if self.engine == "vector":
+        vector_engine = spec.get("engine") == "vector"
+        if vector_engine:
             from repro.vector import VectorWillingnessEvaluator
 
             evaluator = VectorWillingnessEvaluator(compiled)
         else:
             evaluator = FastWillingnessEvaluator(compiled)
         self.sampler = ExpansionSampler(problem, evaluator)
-        if self.engine == "vector":
+        if vector_engine:
             # Shared solve-level Philox base key: every shard's uniforms
             # are a pure function of (key, start, planned draw ordinal),
             # not of which worker draws them.
@@ -205,49 +205,32 @@ class _WorkerSolveState:
     def run_entry(self, entry: dict):
         """Draw one shard and reduce it to a :class:`ShardSummary`."""
         index = entry["start"]
-        weight_array = None
+        vectors = None
         if self.vectors is not None:
             vector = self.vectors[index]
             for patch in entry["sync"]:
                 _apply_patch(vector, patch)
-            weight_array = vector.array
-        carry = entry["failures"]
-        if self.engine == "vector":
-            # Positional randomness: no per-shard RNG seed at all — the
-            # entry's planned first-draw ordinal addresses the Philox
-            # stream directly.
-            batch = self.sampler.draw_batch_vector(
-                [
-                    {
-                        "start_key": index,
-                        "seed": self.seeds[index],
-                        "first_draw": entry["first_draw"],
-                        "count": entry["count"],
-                        "failures": carry,
-                    }
-                ],
-                mode=self.mode,
-                weight_rows=(
-                    [weight_array] if self.mode == "ce" else None
-                ),
-                max_failures=self.max_failures,
-            )[0]
-        else:
-            rng = random.Random(entry["seed"])
-            batch = self.sampler.draw_batch(
-                self.seeds[index],
-                rng,
-                entry["count"],
-                weight_array=weight_array,
-                failures=carry,
-                max_failures=self.max_failures,
-            )
-        return summarize_shard(
-            batch,
-            entry["keep_rank"],
-            max_failures=self.max_failures,
-            carry_failures=carry,
+            vectors = [vector]
+        # The compiled engine draws from the shard's own seeded RNG; the
+        # vector engine reads none (its shards ship no seed) and
+        # addresses the start's Philox stream at ``first_draw`` (shipped
+        # on vector entries only).
+        (batch,) = self.sampler.draw_stage(
+            [
+                {
+                    "start_key": index,
+                    "seed": self.seeds[index],
+                    "first_draw": entry.get("first_draw", 0),
+                    "count": entry["count"],
+                    "failures": entry["failures"],
+                }
+            ],
+            self.mode,
+            vectors,
+            random.Random(entry["seed"]),
+            self.max_failures,
         )
+        return summarize_shard(batch, entry["keep_rank"])
 
 
 def _solve_worker_main(conn) -> None:

@@ -25,12 +25,13 @@ Architecture
   bytes), and folds the workers' compact
   :class:`~repro.algorithms.sampling.ShardSummary` replies, in shard
   order, through :func:`~repro.algorithms.stage_exec.merge_start_stage`
-  — the same merge the serial executors run: failure accounting, OCBA
-  statistics recorded sample by sample in draw order, the incumbent
-  best sample, and one Eq. (4) refit from the merged elite set.
-* Workers draw with the exact same compiled kernel
-  (:meth:`~repro.algorithms.sampling.ExpansionSampler.draw_batch`) and
-  mirror each start's :class:`~repro.ce.probability.
+  — the same merge the in-process executor runs: failure accounting,
+  the write-off, OCBA statistics recorded sample by sample in draw
+  order, the incumbent best sample, and one Eq. (4) refit from the
+  merged elite set.
+* Workers draw through the same sampler call as the in-process
+  executor (:meth:`~repro.algorithms.sampling.ExpansionSampler.
+  draw_stage`) and mirror each start's :class:`~repro.ce.probability.
   SelectionProbabilities` by replaying the parent's refit patches, so a
   shard's draws are bit-identical to a serial run fed the same
   per-shard RNG streams (``tests/test_stage_parallel.py`` proves the
@@ -44,10 +45,14 @@ the default serial solve (the draws come from per-shard generators),
 but it is the same statistical computation with the same per-stage
 elite refit — the paper makes the same observation about its OpenMP
 runs.  Vector-engine randomness is positional, so there serial and
-stage-sharded solves are identical at any worker count — up to the one
-designed divergence of both engines: the consecutive-failure write-off
-cap is enforced per shard (a failing start can draw up to one shard's
-worth of extra attempts before every worker notices).
+stage-sharded solves are identical at any worker count.
+
+On both engines the consecutive-failure write-off counts the start's
+whole draw stream, not each shard's.  Each shard stops at the cap on
+its own — the first from the carried counter, the others from zero —
+so a later shard can draw past the point where one serial loop over
+the concatenated draws would stop.  The merge adds only the draws up to
+that point; the shard's extra draws are wasted work, never results.
 """
 
 from __future__ import annotations
@@ -113,10 +118,9 @@ class ShardedStageExecutor(StageExecutor):
         #: Pool counters at the start of the solve; recovery accounting
         #: reports the difference.
         self._counters0 = None
-        #: Vector-engine solves: planned per-start draw ordinals (the
-        #: Philox counter positions) instead of per-shard RNG seeds.
+        #: Vector-engine solves address each start's Philox stream by
+        #: planned draw ordinal instead of per-shard RNG seeds.
         self._vector = False
-        self._ordinals: "Optional[list[int]]" = None
 
     # ------------------------------------------------------------------
     def begin_solve(self, ctx: StageContext) -> None:
@@ -133,8 +137,7 @@ class ShardedStageExecutor(StageExecutor):
         shipping = self.pool.counters() - self._counters0
         self._solve_id = next(_SOLVE_COUNTER)
         mode = solver._shard_mode()
-        self._vector = getattr(ctx.sampler, "is_vector", False)
-        self._ordinals = [0] * len(ctx.starts) if self._vector else None
+        self._vector = ctx.sampler.is_vector
         spec = {
             "solve_id": self._solve_id,
             "problem": problem.payload_spec(),
@@ -210,7 +213,7 @@ class ShardedStageExecutor(StageExecutor):
             pending = self._patch_log[index]
             sizes = self._patch_sizes[index]
             positions = []
-            drawn_before = 0
+            first_draw = ctx.ordinals[index]
             for shard, (count, seed) in enumerate(zip(shard_counts, seeds)):
                 synced_from = self._synced[shard][index]
                 entry = {
@@ -224,17 +227,13 @@ class ShardedStageExecutor(StageExecutor):
                     "sync": pending[synced_from:],
                 }
                 if self._vector:
-                    entry["first_draw"] = self._ordinals[index] + drawn_before
-                    drawn_before += count
+                    entry["first_draw"] = first_draw
+                first_draw += count
                 stage_patch_bytes += sum(sizes[synced_from:])
                 worker_entries[shard].append(entry)
                 self._synced[shard][index] = len(pending)
                 positions.append((shard, len(worker_entries[shard]) - 1))
-            if self._vector:
-                # Advance by the full planned share (even if a shard's
-                # failure cap truncates its realized batch) so ordinals
-                # match the serial vector executor's plan exactly.
-                self._ordinals[index] += share
+            ctx.ordinals[index] += share
             placements.append(
                 (index, carry, shard_counts, seeds, keep_rank, positions)
             )
@@ -261,14 +260,9 @@ class ShardedStageExecutor(StageExecutor):
             degraded=recovery["fallback_shards"],
         )
         stage_trace = [] if self.trace is not None else None
+        drawn_before = stats.samples_drawn
         for index, carry, shard_counts, seeds, keep_rank, positions in placements:
             summaries = [results[worker][pos] for worker, pos in positions]
-            if self._vector:
-                # Mirror the worker-side kernel counters on the parent
-                # sampler so the solver's stats accounting sees them.
-                ctx.sampler.vector_batch_draws += sum(
-                    summary.attempts for summary in summaries
-                )
             patch = merge_start_stage(ctx, index, summaries)
             if patch is not None:
                 self._patch_log[index].append(patch)
@@ -290,6 +284,11 @@ class ShardedStageExecutor(StageExecutor):
                         ],
                     }
                 )
+        if self._vector:
+            # Mirror the merged draws, not the shipped ones (shards can
+            # draw past the write-off stop), on the parent sampler so
+            # the solver's stats accounting sees them.
+            ctx.sampler.vector_batch_draws += stats.samples_drawn - drawn_before
         if stage_trace is not None:
             self.trace[-1]["stages"].append(stage_trace)
 

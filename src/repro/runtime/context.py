@@ -133,7 +133,6 @@ class ExecutionContext:
         self._cpu_count = cpu_count
         self._executor_override = executor
         self._serial_executor = SerialStageExecutor()
-        self._vector_executor: Optional[StageExecutor] = None
         self._pool = pool
         self._owns_pool = pool is None
         self._warm_states: dict = {}
@@ -258,15 +257,6 @@ class ExecutionContext:
             from repro.parallel.stage_pool import ShardedStageExecutor
 
             return ShardedStageExecutor(pool=self.pool())
-        if solver_engine == "vector" and hasattr(solver, "_shard_mode"):
-            # Vector-engine staged solves go through the batch kernel;
-            # the executor is stateless (per-solve state lives on the
-            # sampler) so one cached instance serves every solve.
-            if self._vector_executor is None:
-                from repro.vector.stage_exec import VectorSerialStageExecutor
-
-                self._vector_executor = VectorSerialStageExecutor()
-            return self._vector_executor
         return self._serial_executor
 
     @contextmanager

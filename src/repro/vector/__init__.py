@@ -18,8 +18,6 @@ This package evaluates a whole stage's draws as array operations:
   status-stamp membership matrices, cumulative-sum weighted picks, and
   ``bincount``-reduced willingness deltas for every draw of a stage at
   once;
-* :mod:`repro.vector.stage_exec` — the serial-process stage executor
-  that feeds whole stages to the kernel;
 * :mod:`repro.vector.evaluator` — the
   :class:`~repro.vector.evaluator.VectorWillingnessEvaluator` behind the
   ``evaluator_for`` seam.

@@ -84,7 +84,18 @@ class TestFingerprint:
         assert fingerprint.check_lines(lines)[1][0] == (
             "reference != compiled (members): " + _key("reference")
         )
-        # Failed draws leave the serial/stage pairs out: the write-off
-        # cap is enforced per shard.
-        lines[2] = f"{_key('vector')} :: {_fields(counts='40/3/4')}"
-        assert fingerprint.check_lines(lines)[0] == 1
+        # Failed draws do not leave the serial/stage pairs out: the
+        # merge writes a start off where the serial run stops.
+        lines[2] = (
+            f"{_key('vector')} :: {_fields(W='4.5000001', counts='40/3/4')}"
+        )
+        assert fingerprint.check_lines(lines) == (
+            3,
+            [
+                "reference != compiled (members): " + _key("reference"),
+                "vector serial != stage2 (counts): "
+                + _key("vector", "stage2"),
+                "vector serial != stage3 (W, counts, backtracks): "
+                + _key("vector", "stage3"),
+            ],
+        )

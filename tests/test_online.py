@@ -210,13 +210,15 @@ class TestPlanning:
             assert warm.solution.is_feasible(problem)
         assert results["reference"] == results["compiled"]
 
-    def test_warm_replan_falls_back_when_all_starts_pruned(self):
+    @pytest.mark.parametrize("engine", ["reference", "compiled", "vector"])
+    def test_warm_replan_falls_back_when_all_starts_pruned(self, engine):
         """Warm starts stranded in a sub-k region fall back to cold.
 
         Barbell graph: small component A joined to a big component B by a
         bridge node.  A warm state whose starts all sit in A, replanned
         after the bridge is declined, must re-rank cold (B still holds a
-        feasible group) instead of raising BudgetExhaustedError.
+        feasible group) instead of raising BudgetExhaustedError, and
+        report only the cold ranking's component skips (none).
         """
         from repro.algorithms.cbas import CBAS
         from repro.graph.social_graph import SocialGraph
@@ -233,7 +235,7 @@ class TestPlanning:
         graph.add_edge(4, 5, 1.0)  # bridge node 5
         graph.add_edge(5, 6, 1.0)
         problem = WASOProblem(graph=graph, k=6)
-        solver = CBAS(budget=40, m=4, stages=2)
+        solver = CBAS(budget=40, m=4, stages=2, engine=engine)
         solver.solve(problem, rng=1)
         # Pretend the previous solution lived in A: starts 0..3 plus the
         # bridge; declining the bridge strands them all below k.
@@ -244,6 +246,7 @@ class TestPlanning:
         assert result.solution.is_feasible(declined)
         assert result.members <= set(range(6, 16))
         assert "warm_start" not in result.stats.extra
+        assert "skipped_small_components" not in result.stats.extra
 
     def test_warm_start_disabled_runs_cold(self, small_facebook):
         problem = WASOProblem(graph=small_facebook, k=5)

@@ -79,22 +79,18 @@ class TestSummarizeShard:
         assert summary.kept == ((5.0, (0,)), (4.0, (1,)), (4.0, (2,)))
 
     def test_hit_cap_uses_carry(self):
-        batch = [None, None]
-        summary = summarize_shard(
-            batch, keep_rank=1, max_failures=5, carry_failures=3
-        )
-        assert summary.hit_cap
+        # Without a success every draw both leads and trails: the merge
+        # adds them all to the carried counter when it checks the cap.
+        summary = summarize_shard([None, None], keep_rank=1)
+        assert summary.leading_failures == 2
+        assert summary.trailing_failures == 2
         assert summary.willingness == ()
-        no_carry = summarize_shard(batch, keep_rank=1, max_failures=5)
-        assert not no_carry.hit_cap
 
     def test_trailing_reset_by_success(self):
-        batch = [None, None, _sample((0,), 2.0)]
-        summary = summarize_shard(
-            batch, keep_rank=1, max_failures=5, carry_failures=4
-        )
-        assert summary.trailing_failures == 0
-        assert not summary.hit_cap
+        batch = [None, None, _sample((0,), 2.0), None]
+        summary = summarize_shard(batch, keep_rank=1)
+        assert summary.leading_failures == 2
+        assert summary.trailing_failures == 1
 
 
 #: A small grid of willingness values: ties are frequent, and none of
@@ -107,13 +103,28 @@ def _bits(values):
     return tuple(float.hex(float(value)) for value in values)
 
 
+def _capped(planned, counter):
+    """The draws one loop makes from ``planned``, starting at ``counter``
+    consecutive failures, before the write-off cap stops it."""
+    batch = []
+    for sample in planned:
+        batch.append(sample)
+        counter = counter + 1 if sample is None else 0
+        if counter >= MAX_CONSECUTIVE_FAILURES:
+            break
+    return batch
+
+
 @st.composite
 def _merge_case(draw):
-    """One start's stage: a draw-ordered batch cut into shards.
+    """One start's stage: its planned draws, drawn whole and in shards.
 
-    The batch is one a serial draw loop could have produced from the
-    carry-in failure counter: it ends at the write-off cap at the
-    latest.  Members are random 3-sets of compiled ids.
+    The whole batch is what one serial loop draws from the carry-in
+    failure counter: the plan, cut where the counter reaches the
+    write-off cap.  Each shard draws its own slice of the plan on its
+    own — the first from the carry, the others from zero — and stops at
+    its own cap, so later shards can draw past the serial stop.
+    Members are random 3-sets of compiled ids.
     """
     carry = draw(st.integers(0, MAX_CONSECUTIVE_FAILURES - 1))
     draws = draw(
@@ -132,29 +143,32 @@ def _merge_case(draw):
             max_size=40,
         )
     )
-    batch = []
-    counter = carry
-    for item in draws:
-        if item is None:
-            batch.append(None)
-            counter += 1
-            if counter >= MAX_CONSECUTIVE_FAILURES:
-                break
-            continue
-        counter = 0
-        willingness, ids = item
-        batch.append(Sample(frozenset(ids), willingness, tuple(ids)))
+    planned = [
+        None
+        if item is None
+        else Sample(frozenset(item[1]), item[0], tuple(item[1]))
+        for item in draws
+    ]
+    # A run of failures up to twice the cap somewhere in the plan: shard
+    # cuts inside it make later shards draw past the serial stop.
+    at = draw(st.integers(0, len(planned)))
+    planned[at:at] = [None] * draw(
+        st.integers(0, 2 * MAX_CONSECUTIVE_FAILURES)
+    )
     cuts = draw(
-        st.lists(st.integers(1, len(batch) - 1), max_size=3, unique=True)
-        if len(batch) > 1
+        st.lists(st.integers(1, len(planned) - 1), max_size=3, unique=True)
+        if len(planned) > 1
         else st.just([])
     )
-    bounds = [0, *sorted(cuts), len(batch)]
+    bounds = [0, *sorted(cuts), len(planned)]
     return {
         "carry": carry,
-        "batch": batch,
-        "shards": [batch[low:high] for low, high in zip(bounds, bounds[1:])],
-        "share": len(batch) + draw(st.integers(0, 5)),
+        "batch": _capped(planned, carry),
+        "shards": [
+            _capped(planned[low:high], carry if low == 0 else 0)
+            for low, high in zip(bounds, bounds[1:])
+        ],
+        "share": len(planned),
         "prior": draw(st.lists(_WILLINGNESS, max_size=3)),
         "gamma": draw(st.sampled_from([-math.inf, 1.5, 2.9, 4.3])),
         "incumbent": draw(st.sampled_from([None, 2.2, 3.6, 9.9])),
@@ -164,8 +178,9 @@ def _merge_case(draw):
 
 class TestOneMerge:
     """Merging a start's shard summaries equals merging one summary of
-    the whole batch: the stage merge every executor runs does not depend
-    on how a stage's draws were cut up."""
+    the serial batch: the stage merge every executor runs does not
+    depend on how a stage's draws were cut up, and it writes a start
+    off where the serial loop stops, however far the shards drew."""
 
     @pytest.fixture(scope="class")
     def graph(self):
@@ -208,7 +223,7 @@ class TestOneMerge:
         nodes = graph.node_list()
         keep_rank = solver._shard_keep_rank(case["share"])
         summaries = []
-        for position, piece in enumerate(pieces):
+        for piece in pieces:
             if engine == "reference":
                 # Reference-path samples carry member sets, not ids.
                 piece = [
@@ -220,14 +235,7 @@ class TestOneMerge:
                     )
                     for sample in piece
                 ]
-            summaries.append(
-                summarize_shard(
-                    piece,
-                    keep_rank,
-                    max_failures=MAX_CONSECUTIVE_FAILURES,
-                    carry_failures=case["carry"] if position == 0 else 0,
-                )
-            )
+            summaries.append(summarize_shard(piece, keep_rank))
         patch = merge_start_stage(ctx, 0, summaries)
         return {
             "counts": (
