@@ -41,8 +41,10 @@ Measures, on synthetic Facebook-regime graphs of n ∈ {1k, 10k}:
   resident before timing) versus the serial compiled engine — the one
   parallel path for a single large solve.
 
-Results are persisted to ``BENCH_sampler.json`` next to the repo root so
-future PRs can diff against them.  Acceptance gates, all measured in the
+A CLI run (``python benchmarks/bench_perf_sampler.py``) persists the
+results to ``BENCH_sampler.json`` next to the repo root so future
+changes can diff against them; the pytest run checks the same gates and
+leaves the file alone.  Acceptance gates, all measured in the
 same run: the compiled engine delivers ≥3× samples/sec for uniform CBAS
 expansion on the n=10k graph, ≥2× for CBAS-ND on the n=10k graph, the
 vector engine ≥5× over the dict reference for CBAS-ND on the n=10k
@@ -495,7 +497,11 @@ def _check_resident_series(fresh: dict, baseline: dict) -> list[str]:
 
 
 def test_perf_sampler(benchmark):
-    payload = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    # Only the CLI run regenerates the committed BENCH_sampler.json; a
+    # pytest run checks the same numbers without rewriting it.
+    payload = benchmark.pedantic(
+        run_experiment, kwargs={"write": False}, rounds=1, iterations=1
+    )
     for n, entry in payload["sizes"].items():
         print(
             f"n={n}: add_delta {entry['speedup_add_delta_per_sec']:.2f}x, "

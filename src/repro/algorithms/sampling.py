@@ -31,10 +31,13 @@ The fast path mirrors the reference path's neighbour order and RNG
 consumption exactly, so seeded draws — and therefore seeded solver runs —
 produce identical results on either path.  Two further int-domain
 amortizations ride on it: CBAS-ND's frontier weighting can be supplied as
-a flat ``weight_array`` indexed by compiled id (one list index per slot
-instead of a dict probe per node), and :meth:`ExpansionSampler.draw_batch`
-resolves the cached per-seed state once for a whole run of draws from the
-same start node.
+a flat ``weight_array`` indexed by compiled id (a CE vector's float64
+array, read in place through a ``memoryview``), whose draw keeps the
+frontier's clamped weights and prefix sums beside it so that each
+frontier node's weight is read once and a pick re-sums only the suffix
+its swap-pop moved; and :meth:`ExpansionSampler.draw_batch` resolves the
+cached per-seed state (and the seed frontier's weights) once for a whole
+run of draws from the same start node.
 
 Solvers and stage executors draw through one entry point,
 :meth:`ExpansionSampler.draw_stage`: every funded start's share of a
@@ -64,7 +67,6 @@ __all__ = [
     "ShardSummary",
     "ExpansionSampler",
     "weighted_pick",
-    "pick_from_array",
     "seed_for_start",
     "summarize_shard",
 ]
@@ -198,37 +200,6 @@ def weighted_pick(
     return min(index, len(items) - 1)  # numerical tail guard
 
 
-def pick_from_array(
-    rng: random.Random, frontier: list[int], weight_array: Sequence[float]
-) -> int:
-    """:func:`weighted_pick` specialized for an int frontier + flat array.
-
-    Gathers the weights with a C-level ``map`` and, when none is
-    negative (always true for CE probability vectors), builds the
-    cumulative sums with ``itertools.accumulate``.  Zero weights add
-    exactly nothing to an IEEE running sum, so the cumulative list — and
-    therefore every pick and the RNG stream — is bit-identical to
-    :func:`weighted_pick` over the same values.  Negative weights are
-    clamped to zero in place — same treatment :func:`weighted_pick`
-    applies — instead of delegating to it, which would rebuild the
-    already-gathered weight list a second time.
-    """
-    weights = list(map(weight_array.__getitem__, frontier))
-    if min(weights) < 0.0:
-        weights = [weight if weight > 0.0 else 0.0 for weight in weights]
-    cumulative = list(accumulate(weights))
-    total = cumulative[-1]
-    if total <= 0.0:
-        return rng.randrange(len(frontier))
-    threshold = rng.random() * total
-    if threshold <= 0.0:
-        for index, weight in enumerate(weights):
-            if weight > 0.0:
-                return index
-    index = bisect_left(cumulative, threshold)
-    return min(index, len(frontier) - 1)  # numerical tail guard
-
-
 def seed_for_start(problem: WASOProblem, start: NodeId) -> set[NodeId]:
     """Seed member set for an expansion beginning at ``start``.
 
@@ -343,12 +314,17 @@ class ExpansionSampler:
         ``greedy_bias`` biases it by the willingness of the resulting
         group (RGreedy).  The three are mutually exclusive.
         """
-        self._validate_bias(weight_of, greedy_bias, weight_array)
         if self._compiled is not None:
-            return self._draw_fast(
-                self._seed_state(seed), rng, weight_of, weight_array,
-                greedy_bias,
+            (sample,) = self.draw_batch(
+                seed,
+                rng,
+                1,
+                weight_of=weight_of,
+                greedy_bias=greedy_bias,
+                weight_array=weight_array,
             )
+            return sample
+        self._validate_bias(weight_of, greedy_bias, weight_array)
         if weight_array is not None:
             raise ValueError(
                 "weight_array requires the compiled engine; use weight_of "
@@ -402,7 +378,10 @@ class ExpansionSampler:
 
         The compiled path resolves the cached seed state (frozenset key
         hash + cache probe) once for the whole batch instead of once per
-        draw.  ``failures`` seeds the consecutive-failure counter and the
+        draw; with a ``weight_array`` it also weighs the seed frontier
+        once, and reads a CE vector's float64 array in place through a
+        ``memoryview``, so the batch's set-up does not grow with n.
+        ``failures`` seeds the consecutive-failure counter and the
         batch stops early once it reaches ``max_failures`` — mirroring the
         solvers' write-off rule, so batched and draw-at-a-time runs
         consume the identical RNG stream and report identical stats.
@@ -412,17 +391,32 @@ class ExpansionSampler:
         self._validate_bias(weight_of, greedy_bias, weight_array)
         samples: list[Optional[Sample]] = []
         if self._compiled is not None:
-            if hasattr(weight_array, "tolist"):
-                # A CE vector's float64 array: the kernel reads one weight
-                # per frontier slot, and a list index is far cheaper than
-                # a numpy scalar read, so convert once for the batch.
-                weight_array = weight_array.tolist()
             state = self._seed_state(seed)
-            draw_fast = self._draw_fast
-            for _ in range(count):
-                sample = draw_fast(
-                    state, rng, weight_of, weight_array, greedy_bias
+            if weight_array is None:
+                draw = functools.partial(
+                    self._draw_fast, state, rng, weight_of, greedy_bias
                 )
+            else:
+                if not isinstance(weight_array, (list, tuple)):
+                    # A memoryview indexes the array in place and hands
+                    # out the same Python floats a list of it would hold.
+                    weight_array = memoryview(weight_array)
+                # Every draw starts from the seed frontier, so its
+                # clamped weights and prefix sums are built once.
+                seed_weights = [
+                    weight if weight > 0.0 else 0.0
+                    for weight in map(weight_array.__getitem__, state[3])
+                ]
+                draw = functools.partial(
+                    self._draw_fast_ce,
+                    state,
+                    rng,
+                    weight_array,
+                    seed_weights,
+                    list(accumulate(seed_weights)),
+                )
+            for _ in range(count):
+                sample = draw()
                 samples.append(sample)
                 if sample is None:
                     failures += 1
@@ -615,7 +609,6 @@ class ExpansionSampler:
         seed_state: tuple,
         rng: random.Random,
         weight_of: Optional[Callable[[NodeId], float]],
-        weight_array: "Optional[Sequence[float]]",
         greedy_bias: bool,
     ) -> Optional[Sample]:
         problem = self.problem
@@ -649,19 +642,13 @@ class ExpansionSampler:
         # skipping the per-call argument checks.
         randbelow = getattr(rng, "_randbelow", rng.randrange)
         append = frontier.append
-        uniform = (
-            weight_of is None and weight_array is None and not greedy_bias
-        )
+        uniform = weight_of is None and not greedy_bias
         check_allowed = self._check_allowed
         while count < k:
             if not frontier:
                 return None
             if uniform:
                 pick = randbelow(len(frontier))
-            elif weight_array is not None:
-                # CBAS-ND's array-backed vector: the frontier already
-                # holds compiled ids, so each weight is one list index.
-                pick = pick_from_array(rng, frontier, weight_array)
             elif weight_of is not None:
                 weights = [weight_of(nodes[index]) for index in frontier]
                 pick = weighted_pick(rng, frontier, weights)
@@ -715,6 +702,122 @@ class ExpansionSampler:
         if connected and not seed_connected:
             # A connected expansion of a connected seed stays connected;
             # only a disconnected seed needs the per-draw bridge check.
+            if not self.graph.is_connected_subset(group):
+                return None
+        return Sample(
+            members=group,
+            willingness=current,
+            indices=tuple(member_indices),
+        )
+
+    def _draw_fast_ce(
+        self,
+        seed_state: tuple,
+        rng: random.Random,
+        weight_array: "Sequence[float]",
+        seed_weights: "list[float]",
+        seed_cumulative: "list[float]",
+    ) -> Optional[Sample]:
+        """:meth:`_draw_fast` biased by a CE weight array (CBAS-ND).
+
+        ``weights`` holds each frontier slot's clamped weight and
+        ``cumulative`` their prefix sums; both swap-pop with the frontier
+        and grow with it, so a pick re-sums only the suffix from the
+        popped slot on.  Prefix sums of an unchanged prefix are the same
+        IEEE values, and a clamped weight adds what :func:`weighted_pick`
+        adds for it (NaN and non-positive weights add nothing), so every
+        threshold, pick and RNG read equals :func:`weighted_pick` over
+        the whole frontier.
+        """
+        problem = self.problem
+        k = problem.k
+        current, seed_connected, seed_indices, seed_frontier = seed_state
+        if len(seed_indices) > k:
+            return None
+
+        comp = self._compiled
+        row_edges = comp.row_edges
+        weighted_interest = comp.weighted_interest
+        allowed = self._allowed_mask
+        status = self._status
+        self._draw_serial += 1
+        frontier_token = 2 * self._draw_serial
+        member_token = frontier_token + 1
+        connected = problem.connected
+
+        member_indices = list(seed_indices)
+        for index in member_indices:
+            status[index] = member_token
+        frontier = list(seed_frontier)
+        for index in frontier:
+            status[index] = frontier_token
+        weights = list(seed_weights)
+        cumulative = list(seed_cumulative)
+
+        count = len(member_indices)
+        randbelow = getattr(rng, "_randbelow", rng.randrange)
+        uniform_draw = rng.random
+        append = frontier.append
+        append_weight = weights.append
+        check_allowed = self._check_allowed
+        while count < k:
+            if not frontier:
+                return None
+            total = cumulative[-1]
+            if total <= 0.0:
+                pick = randbelow(len(frontier))
+            else:
+                threshold = uniform_draw() * total
+                if threshold <= 0.0:
+                    # Degenerate draw: the first positive slot wins.
+                    pick = next(
+                        slot
+                        for slot, weight in enumerate(weights)
+                        if weight > 0.0
+                    )
+                else:
+                    pick = bisect_left(cumulative, threshold)
+                    if pick >= len(frontier):
+                        pick = len(frontier) - 1  # numerical tail guard
+            index = frontier[pick]
+            frontier[pick] = frontier[-1]
+            frontier.pop()
+            weights[pick] = weights[-1]
+            weights.pop()
+            status[index] = member_token
+            member_indices.append(index)
+            count += 1
+
+            # :meth:`_draw_fast`'s merged row pass; a pushed node's
+            # weight is read here, once per draw.
+            delta = weighted_interest[index]
+            if connected:
+                for other, pair in row_edges[index]:
+                    state = status[other]
+                    if state < frontier_token:
+                        if not check_allowed or allowed[other]:
+                            status[other] = frontier_token
+                            append(other)
+                            weight = weight_array[other]
+                            append_weight(weight if weight > 0.0 else 0.0)
+                    elif state == member_token:
+                        delta += pair
+            else:
+                for other, pair in row_edges[index]:
+                    if status[other] == member_token:
+                        delta += pair
+            current += delta
+            if count < k:
+                # Slots before ``pick`` kept their weights and sums.
+                if pick:
+                    cumulative[pick - 1:] = accumulate(
+                        weights[pick:], initial=cumulative[pick - 1]
+                    )
+                else:
+                    cumulative = list(accumulate(weights))
+
+        group = frozenset(map(comp.nodes.__getitem__, member_indices))
+        if connected and not seed_connected:
             if not self.graph.is_connected_subset(group):
                 return None
         return Sample(

@@ -47,10 +47,10 @@ round therefore runs ``p *= keep`` over the whole array and then
 overwrites the touched slots.  Each slot's value is the left-to-right
 chain of IEEE multiplications ``((p·k₁)·k₂)·…`` on every engine, so
 seeded draws stay bit-identical across the reference and compiled
-engines.  The vector kernel reads the array zero-copy; the scalar
-compiled kernel indexes a Python list, because a list index is far
-cheaper than a numpy scalar read per frontier slot, and converts the
-array once per draw batch with ``tolist()``.
+engines.  Both kernels read the array in place: the vector kernel as a
+numpy array, the scalar compiled kernel through a ``memoryview``, whose
+item reads are plain Python floats.  A draw batch therefore costs O(1)
+in n to set up, and a draw reads each frontier node's weight once.
 
 Stage merge
 -----------

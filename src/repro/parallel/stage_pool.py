@@ -22,7 +22,10 @@ Architecture
   stage_exec.StageExecutor` strategy solvers plug in.  Per stage it
   splits every funded start node's budget share into per-worker shards
   (budget + RNG seed + pending CE-vector sync patches — a few hundred
-  bytes), and folds the workers' compact
+  bytes), places each start's shards on the least-loaded workers of
+  the stage, largest shard first (share-1 starts alternate workers,
+  and a stage's worker loads differ by at most its largest shard), and
+  folds the workers' compact
   :class:`~repro.algorithms.sampling.ShardSummary` replies, in shard
   order, through :func:`~repro.algorithms.stage_exec.merge_start_stage`
   — the same merge the in-process executor runs: failure accounting,
@@ -36,7 +39,11 @@ Architecture
   shard's draws are bit-identical to a serial run fed the same
   per-shard RNG streams (``tests/test_stage_parallel.py`` proves the
   merged elite set and refit vector match a serial reconstruction of
-  the concatenated sample stream).
+  the concatenated sample stream).  Placement decides only which
+  process draws a shard: counts, seeds, ``first_draw`` ordinals, the
+  failure carry and the keep rank follow shard order, and the sync
+  cursors are kept per worker process, so a start that moves between
+  workers is sent exactly the patches its new worker has not replayed.
 
 Semantics versus serial execution
 ---------------------------------
@@ -197,10 +204,16 @@ class ShardedStageExecutor(StageExecutor):
             return
 
         worker_entries: "list[list[dict]]" = [[] for _ in range(workers)]
+        # Draws placed on each worker so far this stage.
+        loads = [0] * workers
         placements = []
         stage_patch_bytes = 0
         for index, share in funded:
             shard_counts = split_budget(share, min(workers, share))
+            # Largest shard (the first) on the least-loaded worker, ties
+            # to the lowest slot: which process draws a shard never
+            # changes what it draws.
+            targets = sorted(range(workers), key=loads.__getitem__)
             if self._vector:
                 # Positional randomness: shards address the start's
                 # Philox stream by planned draw ordinal — no per-shard
@@ -215,7 +228,9 @@ class ShardedStageExecutor(StageExecutor):
             positions = []
             first_draw = ctx.ordinals[index]
             for shard, (count, seed) in enumerate(zip(shard_counts, seeds)):
-                synced_from = self._synced[shard][index]
+                worker = targets[shard]
+                loads[worker] += count
+                synced_from = self._synced[worker][index]
                 entry = {
                     "start": index,
                     "count": count,
@@ -230,9 +245,9 @@ class ShardedStageExecutor(StageExecutor):
                     entry["first_draw"] = first_draw
                 first_draw += count
                 stage_patch_bytes += sum(sizes[synced_from:])
-                worker_entries[shard].append(entry)
-                self._synced[shard][index] = len(pending)
-                positions.append((shard, len(worker_entries[shard]) - 1))
+                worker_entries[worker].append(entry)
+                self._synced[worker][index] = len(pending)
+                positions.append((worker, len(worker_entries[worker]) - 1))
             ctx.ordinals[index] += share
             placements.append(
                 (index, carry, shard_counts, seeds, keep_rank, positions)

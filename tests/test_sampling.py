@@ -1,20 +1,25 @@
 """Tests for the expansion sampler shared by all randomized solvers."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.sampling import (
     ExpansionSampler,
-    pick_from_array,
     seed_for_start,
     weighted_pick,
 )
 from repro.core.problem import WASOProblem
-from repro.core.willingness import WillingnessEvaluator
+from repro.core.willingness import (
+    FastWillingnessEvaluator,
+    WillingnessEvaluator,
+)
 from repro.graph.generators import random_social_graph
+from repro.graph.social_graph import SocialGraph
 
 
 def _sampler(problem):
@@ -43,45 +48,145 @@ class TestWeightedPick:
         assert weighted_pick(rng, ["only"], [0.7]) == 0
 
 
-class TestPickFromArray:
-    """The flat-array fast path must mirror ``weighted_pick`` exactly —
-    including the degenerate branches, which clamp/fall back without
-    rebuilding the gathered weight list."""
+def _ce_draws(graph, k, weight_by_node, seed, draws, rng_seed, **problem_kw):
+    """Compiled ``weight_array`` and reference ``weight_of`` batches.
+
+    Returns, per engine and per array type (list, float64 array), the
+    draw-ordered ``(members, willingness)`` pairs (``None`` for a
+    stalled draw) and the next ``rng.random()``.
+    """
+    problem = WASOProblem(graph=graph, k=k, **problem_kw)
+    compiled = graph.compiled()
+    array = [0.0] * compiled.number_of_nodes
+    for node, weight in weight_by_node.items():
+        array[compiled.index_of[node]] = weight
+
+    def run(sampler, **bias):
+        rng = random.Random(rng_seed)
+        batch = sampler.draw_batch(seed, rng, draws, **bias)
+        pairs = [
+            None if sample is None else (sample.members, sample.willingness)
+            for sample in batch
+        ]
+        return pairs, rng.random()
+
+    fast = ExpansionSampler(problem, FastWillingnessEvaluator(compiled))
+    return (
+        run(_sampler(problem), weight_of=lambda node: weight_by_node[node]),
+        run(fast, weight_array=array),
+        run(fast, weight_array=np.array(array, dtype=np.float64)),
+    )
+
+
+def _star(leaves: int) -> SocialGraph:
+    """Node 0 joined to leaves 1..``leaves``: the frontier is the leaves."""
+    graph = SocialGraph()
+    graph.add_node(0, interest=1.0)
+    for leaf in range(1, leaves + 1):
+        graph.add_node(leaf, interest=0.5 * leaf)
+        graph.add_edge(0, leaf, 0.25)
+    return graph
+
+
+class TestCompiledCEPick:
+    """The compiled CE draw picks what ``weighted_pick`` picks, draw for
+    draw and RNG read for RNG read, from lists and float64 arrays alike
+    — including the degenerate weights it clamps or falls back on."""
+
+    def _assert_same(self, graph, k, weights, draws, rng_seed=11):
+        reference, listed, numpy_array = _ce_draws(
+            graph, k, weights, {0}, draws, rng_seed
+        )
+        assert listed == reference
+        assert numpy_array == reference
+        return [pairs for pairs in reference[0] if pairs is not None]
 
     def test_matches_weighted_pick_stream(self):
-        array = [0.0, 0.4, 0.0, 1.3, 0.2, 0.0, 0.7]
-        frontier = [1, 3, 4, 6, 0]
-        weights = [array[i] for i in frontier]
-        rng_a, rng_b = random.Random(11), random.Random(11)
-        for _ in range(500):
-            assert pick_from_array(rng_a, frontier, array) == weighted_pick(
-                rng_b, frontier, weights
-            )
-        assert rng_a.random() == rng_b.random()
+        graph = _star(7)
+        weights = dict(enumerate([0.3, 0.0, 0.4, 0.0, 1.3, 0.2, 0.0, 0.7]))
+        samples = self._assert_same(graph, 4, weights, 500)
+        assert len(samples) == 500
 
     def test_negative_weights_clamped_like_weighted_pick(self):
-        array = [-5.0, 1.0, -2.0, 0.5]
-        frontier = [0, 1, 2, 3]
-        weights = [array[i] for i in frontier]
-        rng_a, rng_b = random.Random(7), random.Random(7)
-        for _ in range(500):
-            picked = pick_from_array(rng_a, frontier, array)
-            assert picked == weighted_pick(rng_b, frontier, weights)
-            assert picked in (1, 3)  # never a clamped slot
-        assert rng_a.random() == rng_b.random()
+        graph = _star(6)
+        weights = dict(enumerate([1.0, -5.0, 1.0, -2.0, 0.5, 2.0, -0.1]))
+        for members, _ in self._assert_same(graph, 3, weights, 500):
+            assert not members & {1, 3, 6}  # never a clamped slot
 
     def test_all_nonpositive_degrades_to_uniform(self):
-        array = [0.0, -1.0, 0.0]
-        frontier = [0, 1, 2]
-        rng_a, rng_b = random.Random(3), random.Random(3)
-        counts = [0, 0, 0]
-        for _ in range(900):
-            picked = pick_from_array(rng_a, frontier, array)
-            # One randrange call and nothing else, same as weighted_pick.
-            assert picked == weighted_pick(rng_b, frontier, [0.0, -1.0, 0.0])
-            counts[picked] += 1
-        assert all(count > 200 for count in counts)
-        assert rng_a.random() == rng_b.random()
+        graph = _star(3)
+        weights = {0: 1.0, 1: 0.0, 2: -1.0, 3: 0.0}
+        counts = {1: 0, 2: 0, 3: 0}
+        for members, _ in self._assert_same(graph, 2, weights, 900):
+            (leaf,) = members - {0}
+            counts[leaf] += 1
+        assert all(count > 200 for count in counts.values())
+
+    def test_nan_weight_treated_as_zero(self):
+        graph = _star(4)
+        weights = {0: 1.0, 1: math.nan, 2: 0.5, 3: 1.0, 4: 0.25}
+        samples = self._assert_same(graph, 2, weights, 20)
+        assert len(samples) == 20
+        assert not any(1 in members for members, _ in samples)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_matches_reference_on_generated_inputs(self, data):
+        n = data.draw(st.integers(min_value=4, max_value=24), label="n")
+        graph = random_social_graph(
+            n,
+            average_degree=data.draw(st.sampled_from([1.5, 3.0, 5.0])),
+            seed=data.draw(st.integers(min_value=0, max_value=10**6)),
+        )
+        nodes = list(graph.nodes())
+        k = data.draw(st.integers(min_value=1, max_value=min(8, n)), label="k")
+        required = data.draw(
+            st.sets(st.sampled_from(nodes), max_size=min(2, k)),
+            label="required",
+        )
+        forbidden = data.draw(
+            st.sets(
+                st.sampled_from([node for node in nodes if node not in required]),
+                max_size=n // 3,
+            ),
+            label="forbidden",
+        )
+        start = data.draw(
+            st.sampled_from([node for node in nodes if node not in forbidden]),
+            label="start",
+        )
+        kind = data.draw(
+            st.sampled_from(["mixed", "zero", "nonpositive"]), label="kind"
+        )
+        values = {
+            "mixed": [0.0, math.nan, -1.5, 5e-324, 1e-310, 0.25, 1.0, 3.5],
+            "zero": [0.0],
+            "nonpositive": [0.0, -0.0, -2.0, -5e-324],
+        }[kind]
+        weights = dict(
+            zip(
+                nodes,
+                data.draw(
+                    st.lists(
+                        st.sampled_from(values), min_size=n, max_size=n
+                    ),
+                    label="weights",
+                ),
+            )
+        )
+        reference, listed, numpy_array = _ce_draws(
+            graph,
+            k,
+            weights,
+            {start} | required,
+            draws=10,
+            rng_seed=data.draw(st.integers(min_value=0, max_value=2**32)),
+            connected=data.draw(st.booleans(), label="connected"),
+            required=frozenset(required),
+            forbidden=frozenset(forbidden),
+        )
+        assert listed == reference
+        assert numpy_array == reference
 
 
 class TestSeed:

@@ -37,6 +37,7 @@ from repro.core.problem import WASOProblem
 from repro.core.willingness import evaluator_for
 from repro.online.replanning import OnlinePlanner
 from repro.parallel import ResidentPool, ShardedStageExecutor
+from repro.parallel.faults import FaultPlan
 from repro.runtime import ExecutionContext
 
 
@@ -330,17 +331,43 @@ class TestShardMergeEquivalence:
     def test_elites_and_refit_vectors_match_serial_reconstruction(
         self, small_facebook, workers
     ):
-        problem = WASOProblem(graph=small_facebook, k=5)
+        self._assert_matches_serial_reconstruction(
+            WASOProblem(graph=small_facebook, k=5),
+            workers,
+            budget=150,
+            m=6,
+            stages=4,
+        )
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_low_share_stages_match_serial_reconstruction(
+        self, small_facebook, workers
+    ):
+        # Shares of one to three draws: starts move between workers from
+        # stage to stage, so each worker's CE mirrors catch up on the
+        # patches of the stages it missed.
+        self._assert_matches_serial_reconstruction(
+            WASOProblem(graph=small_facebook, k=5),
+            workers,
+            budget=60,
+            m=8,
+            stages=5,
+            allocation="gaussian",
+        )
+
+    @staticmethod
+    def _assert_matches_serial_reconstruction(problem, workers, **kwargs):
+        """Replay every stage's shards (budgets, seeds, failure carries)
+        in shard order through one in-process sampler; the elite sets
+        and the final refit vectors must match bit for bit."""
         rho, smoothing = 0.3, 0.9
         with ResidentPool(workers) as pool:
             executor = ShardedStageExecutor(pool=pool, trace=True)
             solver = CBASND(
-                budget=150,
-                m=6,
-                stages=4,
                 rho=rho,
                 smoothing=smoothing,
                 context=ExecutionContext(executor=executor),
+                **kwargs,
             )
             result = solver.solve(problem, rng=11)
         starts = solver.last_warm_state.starts
@@ -423,6 +450,116 @@ class TestShardMergeEquivalence:
             assert solver._shard_keep_rank(share) >= max(
                 1, math.ceil(0.3 * share)
             )
+
+
+def _spy_stages(pool, monkeypatch) -> list:
+    """Record every stage's per-worker ``(start, count)`` entries."""
+    stages = []
+    run_stage = pool.run_stage
+
+    def spy(spec, graphs, worker_entries, *rest):
+        stages.append(
+            [
+                [(entry["start"], entry["count"]) for entry in entries]
+                for entries in worker_entries
+            ]
+        )
+        return run_stage(spec, graphs, worker_entries, *rest)
+
+    monkeypatch.setattr(pool, "run_stage", spy)
+    return stages
+
+
+def _low_share_solver(pool, budget: int) -> CBASND:
+    """Six starts and ``budget / 3`` draws a stage, so shares are small:
+    at ``budget=18`` every start has share 1 in stage 0; at ``36`` most
+    shares of stages 1 and 2 are 1."""
+    return CBASND(
+        budget=budget,
+        m=6,
+        stages=3,
+        allocation="gaussian",
+        context=ExecutionContext(executor=ShardedStageExecutor(pool=pool)),
+    )
+
+
+class TestShardPlacement:
+    """Each start's shards go to the least-loaded workers, largest first;
+    only which process draws a shard changes, never what it draws."""
+
+    def test_share_one_starts_alternate_workers(
+        self, small_facebook, stage_pool, monkeypatch
+    ):
+        stages = _spy_stages(stage_pool, monkeypatch)
+        problem = WASOProblem(graph=small_facebook, k=5)
+        _low_share_solver(stage_pool, budget=18).solve(problem, rng=3)
+        assert stages[0] == [
+            [(0, 1), (2, 1), (4, 1)],
+            [(1, 1), (3, 1), (5, 1)],
+        ]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_loads_differ_by_at_most_one_shard(
+        self, small_facebook, monkeypatch, workers
+    ):
+        problem = WASOProblem(graph=small_facebook, k=5)
+        with ResidentPool(workers) as pool:
+            stages = _spy_stages(pool, monkeypatch)
+            CBASND(
+                budget=200,
+                m=10,
+                stages=5,
+                allocation="gaussian",
+                context=ExecutionContext(
+                    executor=ShardedStageExecutor(pool=pool)
+                ),
+            ).solve(problem, rng=5)
+        assert len(stages) == 5
+        for worker_entries in stages:
+            loads = [
+                sum(count for _, count in entries)
+                for entries in worker_entries
+            ]
+            largest = max(
+                count for entries in worker_entries for _, count in entries
+            )
+            assert max(loads) - min(loads) <= largest
+            # A start's shards land on distinct workers.
+            for entries in worker_entries:
+                starts = [start for start, _ in entries]
+                assert len(starts) == len(set(starts))
+
+    def test_kill_before_low_share_stage_heals(self, small_facebook):
+        # Per worker: seq 1 = graph install, seq 2 = solve spec, seq 3..5
+        # = the three stage dispatches.  Stage 1 (seq 4) puts four
+        # low-share starts on worker 1, whose rebuilt mirrors then need
+        # the full patch history.
+        problem = WASOProblem(graph=small_facebook, k=5)
+
+        def snapshots(solver):
+            vectors = solver.last_warm_state.vectors
+            return {start: vectors[start].snapshot() for start in vectors}
+
+        with ResidentPool(2) as pool:
+            solver = _low_share_solver(pool, budget=36)
+            clean = solver.solve(problem, rng=3)
+            clean_vectors = snapshots(solver)
+        plan = FaultPlan(kills=[(1, 4)])
+        with ResidentPool(2) as pool:
+            pool.fault_plan = plan
+            solver = _low_share_solver(pool, budget=36)
+            faulted = solver.solve(problem, rng=3)
+            assert plan.log == [("kill", 1, 4)]
+            assert pool.worker_restarts == 1
+            assert pool.healthy
+        assert snapshots(solver) == clean_vectors
+        assert faulted.members == clean.members
+        assert faulted.willingness == clean.willingness
+        assert faulted.stats.samples_drawn == clean.stats.samples_drawn
+        assert faulted.stats.extra["stage_best"] == (
+            clean.stats.extra["stage_best"]
+        )
+        assert faulted.stats.extra["chunk_retries"] == 1
 
 
 class TestShardedSolvers:
