@@ -16,8 +16,8 @@ from repro.online import OnlinePlanner
 def main() -> None:
     graph = facebook_like(300, seed=11)
     problem = WASOProblem(graph=graph, k=10)
-    # The runtime context owns the pool + warm-state storage; replans and
-    # fresh solves share one resident pool when routing goes parallel.
+    # The runtime context owns the pool; replans and fresh solves share
+    # one resident pool when routing goes parallel.
     # The with-block holds the creation reference, so the pool is torn
     # down at exit once the planner has also released its co-ownership.
     with ExecutionContext() as context:

@@ -103,9 +103,8 @@ class WorkerCrashError(ReproError):
 
     This is the supervision layer's internal signal: the resident pool
     catches it, respawns the worker, invalidates its residency ledger,
-    and re-dispatches the affected work.  It surfaces to callers only as a
-    :class:`RequestFailure` with ``kind="worker_crash"`` once the retry
-    budget is exhausted.
+    and re-dispatches the affected work — or, once the retry budget is
+    exhausted, finishes it in the parent.  It never surfaces to callers.
     """
 
     def __init__(self, worker: int, message: "str | None" = None) -> None:
@@ -139,12 +138,10 @@ class RequestFailure(str):
     (``"..." in failure``, ``failure.splitlines()``) keep working, while
     new callers can distinguish retryable from fatal failures:
 
-    * ``kind`` — ``"worker_crash"`` (pool worker died and the retry
-      budget ran out; retryable — the request itself may be fine),
-      ``"deadline"`` (the request's ``deadline_s`` expired; retryable
-      with a larger budget), ``"solver_error"`` (the solve itself
-      raised — e.g. infeasible; fatal, a retry would fail identically),
-      or one of the serving daemon's admission rejections
+    * ``kind`` — ``"deadline"`` (the request's ``deadline_s`` expired;
+      retryable with a larger budget), ``"solver_error"`` (the solve
+      itself raised — e.g. infeasible; fatal, a retry would fail
+      identically), or one of the serving daemon's admission rejections
       (:mod:`repro.serving`): ``"shed"`` (the request was refused at
       arrival — bounded queue full, tenant over its in-flight limit, or
       the daemon draining; retryable after backing off) and
@@ -157,7 +154,6 @@ class RequestFailure(str):
     """
 
     KINDS = (
-        "worker_crash",
         "deadline",
         "solver_error",
         "shed",
@@ -190,9 +186,9 @@ class BatchExecutionError(SolverError):
     batch outcome in request order (``None`` at each failed slot) and
     ``failures`` maps the failed request indices to
     :class:`RequestFailure` records (``str`` subclasses carrying the
-    worker-side traceback plus ``kind`` / ``retries`` / ``index``, so
-    callers can tell a crashed worker from an infeasible request); every
-    completed result also records the failed indices in
+    solve's traceback plus ``kind`` / ``retries`` / ``index``, so
+    callers can tell an expired deadline from an infeasible request);
+    every completed result also records the failed indices in
     ``stats.extra["failed_requests"]``.
     """
 

@@ -26,12 +26,13 @@ of resetting to the homogeneous prior.  Each solve's
 
 Runtime integration: the planner executes through an
 :class:`~repro.runtime.context.ExecutionContext` — passed in, adopted
-from the solver, or a private serial one — which owns the worker pool,
-the stage-strategy choice and the warm-state storage.  The pool is
-resident (:mod:`repro.parallel.residency`): stage-sharded re-plans
-reuse the context's :class:`~repro.parallel.pool.ResidentPool` *and*
-the graph arrays already resident in it, including arrays a
-``solve_many`` batch installed there.  By
+from the solver, or a private serial one — which owns the worker pool
+and the stage-strategy choice; the planner keeps its own warm state
+between rounds.  The pool is resident (:mod:`repro.parallel.
+residency`): stage-sharded re-plans reuse the context's
+:class:`~repro.parallel.pool.ResidentPool` *and* the graph arrays
+already resident in it, including arrays a ``solve_many`` batch
+installed there.  By
 default declines only grow the ``forbidden`` set, which leaves the
 frozen index (and therefore its payload token) unchanged, so each
 re-plan ships an O(1) problem spec instead of the O(V+E) graph.  With
@@ -52,8 +53,6 @@ close`) to release the pool when the planning session ends.
 
 from __future__ import annotations
 
-import itertools
-
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
@@ -68,10 +67,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.context import ExecutionContext
 
 __all__ = ["OnlinePlanner", "Invitation", "ResponseState"]
-
-#: Warm-state keys: each planner gets a unique slot in its context's
-#: warm-state storage.
-_PLANNER_TOKENS = itertools.count()
 
 
 class ResponseState(Enum):
@@ -119,8 +114,8 @@ class OnlinePlanner:
         The :class:`~repro.runtime.context.ExecutionContext` planning
         runs through.  When omitted the planner adopts the solver's
         context (or builds its default solver through a private serial
-        one).  The context owns the resident pool — so replans and
-        fresh solves share it — and the warm-state storage.
+        one).  The context owns the resident pool, so replans and fresh
+        solves share it.
     """
 
     def __init__(
@@ -150,7 +145,9 @@ class OnlinePlanner:
         # Co-own the context for the planning session: release() in
         # close() tears the pool down only once every owner is done.
         self.context = context.acquire()
-        self._warm_key = ("online-planner", next(_PLANNER_TOKENS))
+        #: The last round's warm state, installed on the solver only for
+        #: the duration of each re-plan.
+        self._warm_state = None
         self.rng = coerce_rng(rng)
         self.warm_start = warm_start
         self.prune_declined = prune_declined
@@ -194,12 +191,8 @@ class OnlinePlanner:
         is_replan = self.current is not None
         supports_warm = hasattr(self.solver, "warm_state")
         if supports_warm:
-            # The planner's cross-solve state lives in the context's
-            # warm-state storage, not on the solver.
             self.solver.warm_state = (
-                self.context.warm_state(self._warm_key)
-                if self.warm_start
-                else None
+                self._warm_state if self.warm_start else None
             )
         try:
             result = self.context.solve(problem, self.solver, rng=self.rng)
@@ -210,9 +203,7 @@ class OnlinePlanner:
                 # solver.solve() must stay a cold solve.
                 self.solver.warm_state = None
         if supports_warm:
-            self.context.store_warm_state(
-                self._warm_key, self.solver.last_warm_state
-            )
+            self._warm_state = self.solver.last_warm_state
         if is_replan:
             self.replan_count += 1
         self.replan_samples.append(result.stats.samples_drawn)
@@ -273,7 +264,7 @@ class OnlinePlanner:
         if self._closed:
             return
         self._closed = True
-        self.context.clear_warm_state(self._warm_key)
+        self._warm_state = None
         self.context.release()
 
     def __enter__(self) -> "OnlinePlanner":
@@ -301,7 +292,7 @@ class OnlinePlanner:
         graph.compiled().apply_deltas(
             [("remove_edge", node, neighbor) for neighbor in neighbors]
         )
-        state = self.context.warm_state(self._warm_key)
+        state = self._warm_state
         if state is not None and getattr(state, "graph_state", None) is not None:
             from repro.algorithms.cbas import CBAS
 

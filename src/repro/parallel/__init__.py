@@ -84,18 +84,20 @@ down the process — through one recovery path for both modes:
   ``kind="deadline"`` :class:`~repro.exceptions.RequestFailure` — the
   rest of the batch is unaffected, and a reply that already arrived is
   always delivered.
-* **Graceful degradation** — once a retry budget is exhausted the pool
-  goes ``healthy = False``: ``solve_many`` re-runs the affected
-  requests serially in-parent (still bit-identical — the seeds are in
-  the requests), the stage executor computes exhausted shards itself,
-  and the router sends subsequent work serial until the pool is
-  discarded.
+* **Graceful degradation** — one path for both shapes: a record past
+  its retry budget is finished by the pool in the parent, through the
+  code a worker runs and from the same seeds (still bit-identical).  A
+  chunk's entries run through the worker's own entry runner over the
+  record's graphs; a stage shard runs through the stage executor's
+  fallback.  The pool goes ``healthy = False``, which is what
+  :attr:`~repro.runtime.context.ExecutionContext.degraded` reports, and
+  the router sends subsequent work serial until the pool is discarded.
 * **Accounting** — recovery events surface uniformly in
   ``SolveStats.extra`` via :func:`~repro.parallel.residency.
   record_recovery`: ``worker_restarts``, ``chunk_retries``,
-  ``degraded_to_serial``, ``deadline_missed`` — written only when
-  non-zero, so fault-free stats are byte-identical to pre-supervision
-  builds.
+  ``degraded_to_serial`` (chunk requests and stage shards finished in
+  the parent), ``deadline_missed`` — written only when non-zero, so
+  fault-free stats are byte-identical to pre-supervision builds.
 * **Fault injection** — :class:`~repro.parallel.faults.FaultPlan`
   (test-only, via the pool's ``fault_plan`` attribute) deterministically
   kills a worker before its Nth RPC, drops a reply, or delays one past

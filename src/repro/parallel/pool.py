@@ -111,10 +111,12 @@ def worker_payload_bytes(problem: WASOProblem) -> dict:
 def _run_solve_entry(store: ResidentGraphStore, entry: dict):
     """Execute one whole-solve entry; failures are captured per entry.
 
-    Returns ``("ok", index, members, willingness, samples_drawn,
-    failed_samples, stages, extra)`` or ``("error", index, traceback)``
-    so one failing request never discards its chunk-mates' results
-    (the parent re-raises after the batch drains).
+    Returns ``("ok", index, result)`` with the
+    :class:`~repro.algorithms.base.SolveResult` or ``("error", index,
+    traceback)``, so one failing request never discards its
+    chunk-mates' results (the parent re-raises after the batch drains).
+    Workers run it, and so does the pool itself for a chunk past its
+    retry budget.
     """
     index = entry["index"]
     try:
@@ -125,18 +127,8 @@ def _run_solve_entry(store: ResidentGraphStore, entry: dict):
         from repro.algorithms.registry import make_solver
 
         solver = make_solver(entry["solver"], **entry["kwargs"])
-        result = solver.solve(problem, rng=entry["seed"])
-        return (
-            "ok",
-            index,
-            result.solution.members,
-            result.solution.willingness,
-            result.stats.samples_drawn,
-            result.stats.failed_samples,
-            result.stats.stages,
-            result.stats.extra,
-        )
-    except BaseException:
+        return ("ok", index, solver.solve(problem, rng=entry["seed"]))
+    except Exception:
         return ("error", index, traceback.format_exc())
 
 
@@ -343,13 +335,14 @@ class ResidentPool:
     with the work) through the install planner, up to ``max_retries``
     times with bounded backoff.  Expired entries fail as
     ``kind="deadline"`` :class:`~repro.exceptions.RequestFailure`\\ s.  A
-    record past its retry budget takes its own exhaustion path — chunk
-    entries fail as ``kind="worker_crash"``, a stage shard runs in the
-    parent through the caller's ``fallback`` — and the pool goes
-    ``healthy = False`` so callers can route around it.  Only *protocol*
-    errors (a live worker replying with a message-level error, i.e. a
-    bug rather than a crash) are terminal: the pool closes itself and
-    raises.
+    record past its retry budget finishes in the parent, through the
+    same code a worker runs — chunk entries through
+    :func:`_run_solve_entry` over the record's graphs, stage shards
+    through the caller's ``fallback`` — so no request is lost and the
+    results stay bit-identical; the pool then goes ``healthy = False``
+    so callers can route around it.  Only *protocol* errors (a live
+    worker replying with a message-level error, i.e. a bug rather than
+    a crash) are terminal: the pool closes itself and raises.
 
     Accounting is lifetime-only: :meth:`counters` snapshots the totals
     and each consumer diffs two snapshots around its own dispatch.
@@ -388,12 +381,12 @@ class ResidentPool:
         self.fault_plan = None
         #: Sticky health flag: cleared when a record exhausts its retry
         #: budget.  Callers should route around an unhealthy pool
-        #: (``ExecutionContext`` degrades the remainder to serial).
+        #: (``ExecutionContext`` reads it as its ``degraded`` flag).
         self.healthy = True
         #: Lifetime totals (see :meth:`counters`).
         self.worker_restarts = 0
         self.retries = 0
-        self.fallback_shards = 0
+        self.fallbacks = 0
         self.deadline_missed = 0
         self.payload_bytes = 0
         self.patch_bytes = 0
@@ -431,9 +424,10 @@ class ResidentPool:
         ``installs`` counts (graph, worker) installs, ``payload_bytes``
         every pickled byte sent (installs, patches, specs, work),
         ``patch_bytes`` the sparse ``graph_patch`` share of it,
-        ``retries`` re-sent chunks and shards, ``fallback_shards`` shards
-        run in the parent after exhausting their retries, and
-        ``deadline_missed`` chunk entries cancelled by their deadline.
+        ``retries`` re-sent chunks and shards, ``fallbacks`` entries
+        (chunk requests and stage shards) finished in the parent after
+        their record exhausted its retries, and ``deadline_missed`` chunk
+        entries cancelled by their deadline.
         """
         return Counter(
             installs=self.installs,
@@ -441,7 +435,7 @@ class ResidentPool:
             patch_bytes=self.patch_bytes,
             worker_restarts=self.worker_restarts,
             retries=self.retries,
-            fallback_shards=self.fallback_shards,
+            fallbacks=self.fallbacks,
             deadline_missed=self.deadline_missed,
         )
 
@@ -481,11 +475,12 @@ class ResidentPool:
         """Settle every shipped chunk; one outcome list per chunk, in
         shipping order.
 
-        Per-request solve failures come back inside the outcomes as
-        ``("error", index, failure)``, where ``failure`` is the
-        worker-side traceback string or — for a crash that exhausted its
-        retries or an expired deadline — a structured
-        :class:`~repro.exceptions.RequestFailure`.
+        A solved entry comes back as ``("ok", index, result)`` with its
+        :class:`~repro.algorithms.base.SolveResult`, whether a worker or
+        (past the retry budget) the parent ran it.  A failed one comes
+        back as ``("error", index, failure)``, where ``failure`` is the
+        solve's traceback string or — for an expired deadline — a
+        structured :class:`~repro.exceptions.RequestFailure`.
         """
         chunks, self._chunks = self._chunks, []
         for worker, record in chunks:
@@ -760,7 +755,6 @@ class ResidentPool:
                         self._fail_entry(
                             record,
                             entry,
-                            "deadline",
                             f"request deadline expired mid-dispatch "
                             f"(worker {worker}); the dispatch was cancelled",
                         )
@@ -772,19 +766,19 @@ class ResidentPool:
                     record["done"] = True
                     continue
             if record["retries"] >= self.max_retries:
+                # Graceful degradation: the parent finishes the record
+                # through the code a worker runs, from the same seeds.
                 self.healthy = False
+                self.fallbacks += len(record["entries"])
                 if record["kind"] == "chunk":
-                    for entry in record["entries"]:
-                        self._fail_entry(
-                            record,
-                            entry,
-                            "worker_crash",
-                            f"pool worker died mid-dispatch and the retry "
-                            f"budget is exhausted ({record['retries']} of "
-                            f"{self.max_retries} retries used)",
-                        )
+                    store = ResidentGraphStore()
+                    for token, graph in record["graphs"].items():
+                        store.install(token, graph)
+                    record["outcomes"].extend(
+                        _run_solve_entry(store, entry)
+                        for entry in record["entries"]
+                    )
                 else:
-                    self.fallback_shards += 1
                     record["reply"] = record["fallback"](
                         worker, record["entries"]
                     )
@@ -802,14 +796,14 @@ class ResidentPool:
             self._dispatch(worker, record)
 
     @staticmethod
-    def _fail_entry(record: dict, entry: dict, kind: str, message: str):
+    def _fail_entry(record: dict, entry: dict, message: str):
         record["outcomes"].append(
             (
                 "error",
                 entry["index"],
                 RequestFailure(
                     message,
-                    kind=kind,
+                    kind="deadline",
                     retries=record["retries"],
                     index=entry["index"],
                 ),

@@ -372,8 +372,9 @@ def record_recovery(
     * ``chunk_retries`` — chunks or stage shards re-dispatched after a
       crash (each retry is bit-identical to the original dispatch: the
       seeds travel with the work);
-    * ``degraded_to_serial`` — requests (or shards) that fell back to
-      in-parent execution after the retry budget was exhausted;
+    * ``degraded_to_serial`` — entries the pool finished in the parent
+      after their record exhausted its retry budget: one per chunk
+      request and one per stage shard;
     * ``deadline_missed`` — dispatches cancelled because a request's
       deadline expired.
 

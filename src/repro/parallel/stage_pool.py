@@ -272,7 +272,7 @@ class ShardedStageExecutor(StageExecutor):
             stats.extra,
             restarts=recovery["worker_restarts"],
             retries=recovery["retries"],
-            degraded=recovery["fallback_shards"],
+            degraded=recovery["fallbacks"],
         )
         stage_trace = [] if self.trace is not None else None
         drawn_before = stats.samples_drawn

@@ -4,9 +4,9 @@ This package is the single place execution state lives:
 
 * :class:`~repro.runtime.context.ExecutionContext` — owns engine
   selection, the lazily-created resident worker pool (one set of
-  processes for both parallel modes), warm-state storage, and the mode
-  router; solvers, the online planner, the CLI, and the bench harness
-  all construct their execution state through it.
+  processes for both parallel modes), and the mode router; solvers,
+  the online planner, the CLI, and the bench harness all construct
+  their execution state through it.
 * :mod:`~repro.runtime.router` — the cost model that resolves
   ``mode="auto"`` to ``serial`` / ``solve`` / ``stage`` per request,
   replacing the old rule-of-thumb comment in :mod:`repro.parallel`.

@@ -3,10 +3,8 @@ request and a :class:`~repro.core.solution.GroupSolution`.
 
 Before this layer existed the execution machinery was scattered: engine
 selection lived on every solver constructor, worker pools behind the
-solvers, warm states on the :class:`~repro.online.replanning.
-OnlinePlanner`, and the choice between the parallel modes in a
-rule-of-thumb comment.  :class:`ExecutionContext` consolidates all of
-it:
+solvers, and the choice between the parallel modes in a rule-of-thumb
+comment.  :class:`ExecutionContext` consolidates all of it:
 
 * **engine selection** — ``engine="compiled"|"reference"``, inherited by
   every solver the context builds;
@@ -25,10 +23,6 @@ it:
   chunks (a single solve has nothing to multiplex and runs serially),
   and ``"stage"`` shards one large solve's stages.  The context is the
   only place a solve's stage strategy is picked;
-* **warm-state storage** — :class:`~repro.algorithms.cbas.CBASWarmState`
-  snapshots keyed by caller token, so online re-planning and repeated
-  requests share one place (and one resident pool) for cross-solve
-  state;
 * **the batched front door** — :meth:`solve_many` multiplexes a list of
   heterogeneous :class:`~repro.runtime.requests.SolveRequest`\\ s over
   one shared compiled graph, with results bit-identical to solving the
@@ -52,16 +46,9 @@ import traceback
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Optional
 
-from repro.algorithms.base import (
-    ContextSolver,
-    RngLike,
-    Solver,
-    SolveResult,
-    SolveStats,
-)
+from repro.algorithms.base import ContextSolver, RngLike, Solver, SolveResult
 from repro.algorithms.stage_exec import SerialStageExecutor, StageExecutor
 from repro.core.problem import WASOProblem
-from repro.core.solution import GroupSolution
 from repro.core.willingness import evaluator_for as _evaluator_for
 from repro.core.willingness import validate_engine
 from repro.exceptions import BatchExecutionError, RequestFailure
@@ -76,7 +63,7 @@ __all__ = ["ExecutionContext"]
 
 
 class ExecutionContext:
-    """Owns engine, pool, routing, and warm state for a serving session.
+    """Owns engine, pool and routing for a serving session.
 
     Parameters
     ----------
@@ -104,10 +91,11 @@ class ExecutionContext:
     max_retries:
         Crash-retry budget for the owned pool (``None`` = the pool's
         default, :data:`~repro.parallel.residency.DEFAULT_MAX_RETRIES`).
-        Once the pool exhausts it, the context goes *degraded*: the
-        affected requests re-run serially in-parent
-        (``degraded_to_serial`` in their stats) and the router sends
-        everything serial until :meth:`close` discards the pool.
+        Once a chunk or a stage shard exhausts it, the pool finishes that
+        work in this process (``degraded_to_serial`` in the stats) and
+        goes unhealthy, so the context is :attr:`degraded` and the
+        router sends everything serial until :meth:`close` discards the
+        pool.
     """
 
     def __init__(
@@ -135,9 +123,7 @@ class ExecutionContext:
         self._serial_executor = SerialStageExecutor()
         self._pool = pool
         self._owns_pool = pool is None
-        self._warm_states: dict = {}
         self._mode_force: Optional[str] = None
-        self._degraded = False
         self._refs = 1
 
     # ------------------------------------------------------------------
@@ -156,12 +142,13 @@ class ExecutionContext:
     def degraded(self) -> bool:
         """Has the pool exhausted its crash-retry budget?
 
+        The pool's own health, whichever dispatch shape exhausted it.
         While degraded the router sends everything serial (in-parent
         execution is the floor dying workers cannot take out); the
         serving daemon reports the flag on its health endpoint.
         :meth:`close` discards the pool and clears it.
         """
-        return self._degraded
+        return self._pool is not None and not self._pool.healthy
 
     # ------------------------------------------------------------------
     # Engine
@@ -221,7 +208,7 @@ class ExecutionContext:
             batch_size=batch_size,
             workers=self.workers,
             cpu_count=self.cpu_count,
-            healthy=not self._degraded,
+            healthy=not self.degraded,
             engine=engine or self.engine,
         )
 
@@ -316,20 +303,6 @@ class ExecutionContext:
         return kwargs["engine"]
 
     # ------------------------------------------------------------------
-    # Warm-state storage (online re-planning, repeated requests)
-    # ------------------------------------------------------------------
-    def store_warm_state(self, key, state) -> None:
-        """Remember cross-solve warm state under ``key``."""
-        self._warm_states[key] = state
-
-    def warm_state(self, key):
-        """Warm state previously stored under ``key`` (or ``None``)."""
-        return self._warm_states.get(key)
-
-    def clear_warm_state(self, key) -> None:
-        self._warm_states.pop(key, None)
-
-    # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
     def solve(
@@ -413,10 +386,11 @@ class ExecutionContext:
 
         The dispatch layer is self-healing (see :mod:`repro.parallel.
         residency`): a worker crash respawns the worker and retries its
-        chunk bit-identically; exhausted retries degrade the affected
-        requests to in-parent serial execution instead of failing them;
-        a request whose :attr:`~repro.runtime.requests.SolveRequest.
-        deadline_s` expires mid-dispatch is cancelled and fails with a
+        chunk bit-identically; a chunk past its retry budget is finished
+        by the pool in this process, from the same seeds, instead of
+        failing, and the context goes :attr:`degraded`; a request whose
+        :attr:`~repro.runtime.requests.SolveRequest.deadline_s` expires
+        mid-dispatch is cancelled and fails with a
         ``kind="deadline"`` :class:`~repro.exceptions.RequestFailure`.
         Recovery events surface in the surviving results'
         ``stats.extra`` (``worker_restarts`` / ``chunk_retries`` /
@@ -539,44 +513,11 @@ class ExecutionContext:
 
         if dispatched:
             for chunk_outcomes in pool.collect():
-                for outcome in chunk_outcomes:
-                    if outcome[0] == "error":
-                        failures[outcome[1]] = outcome[2]
-                        continue
-                    (_, index, members, willingness, drawn, failed,
-                     stages, extra) = outcome
-                    results[index] = SolveResult(
-                        solution=GroupSolution(
-                            members=members, willingness=willingness
-                        ),
-                        stats=SolveStats(
-                            samples_drawn=drawn,
-                            failed_samples=failed,
-                            stages=stages,
-                            extra=extra,
-                        ),
-                    )
-            # Graceful degradation: a request whose dispatch died with
-            # the retry budget exhausted is not lost — it re-runs
-            # serially in-parent (bit-identically: the seed is in the
-            # request), the pool is flagged unhealthy, and the router
-            # sends everything serial until close() discards the pool.
-            degraded = 0
-            if not pool.healthy:
-                self._degraded = True
-                crashed = [
-                    index
-                    for index, failure in failures.items()
-                    if getattr(failure, "kind", None) == "worker_crash"
-                ]
-                for index in crashed:
-                    try:
-                        results[index] = self._solve_request(requests[index])
-                    except Exception:
-                        failures[index] = traceback.format_exc()
+                for status, index, payload in chunk_outcomes:
+                    if status == "ok":
+                        results[index] = payload
                     else:
-                        del failures[index]
-                        degraded += 1
+                        failures[index] = payload
             # Per-batch shipping and recovery accounting on every
             # multiplexed result, through the shared residency module
             # (the stage path records the same keys from its executor).
@@ -597,7 +538,7 @@ class ExecutionContext:
                         result.stats.extra,
                         restarts=window["worker_restarts"],
                         retries=window["retries"],
-                        degraded=degraded,
+                        degraded=window["fallbacks"],
                         deadline_missed=window["deadline_missed"]
                         + predispatch_missed,
                     )
@@ -674,13 +615,12 @@ class ExecutionContext:
     def close(self) -> None:
         """Tear down the owned pool (idempotent; the context stays usable
         — a later parallel solve lazily recreates it).  Discarding the
-        pool also clears the degraded flag: a fresh pool is trusted
+        pool also clears :attr:`degraded`: a fresh pool is trusted
         again."""
         pool, self._pool = self._pool, None
         if pool is not None and self._owns_pool:
             pool.close()
         self._owns_pool = True
-        self._degraded = False
 
     def __enter__(self) -> "ExecutionContext":
         return self

@@ -218,13 +218,13 @@ class TestRequestFailure:
             RequestFailure("boom", kind="cosmic_rays")
 
     def test_batch_error_coerces_and_labels(self):
-        crash = RequestFailure("died", kind="worker_crash", retries=2, index=0)
-        error = BatchExecutionError({0: crash, 1: "plain traceback"}, [None, None])
-        assert error.failures[0].kind == "worker_crash"
+        late = RequestFailure("expired", kind="deadline", retries=2, index=0)
+        error = BatchExecutionError({0: late, 1: "plain traceback"}, [None, None])
+        assert error.failures[0].kind == "deadline"
         assert error.failures[0].retries == 2
         assert error.failures[1].kind == "solver_error"  # coerced default
         assert error.failures[1].index == 1
-        assert "[worker_crash]" in str(error)
+        assert "[deadline]" in str(error)
 
 
 # ----------------------------------------------------------------------
@@ -441,9 +441,9 @@ class TestStagePoolRecovery:
     def test_exhausted_shard_falls_back_in_parent(
         self, small_facebook, no_orphans
     ):
-        """With a zero retry budget a mid-stage crash runs the shard in
-        the parent — still bit-identical — and the worker is healed
-        lazily before the next stage."""
+        """With a zero retry budget a mid-stage crash runs the worker's
+        shards in the parent — still bit-identical — and the worker is
+        healed lazily before the next stage."""
         with ResidentPool(2) as pool:
             clean = _stage_solve(small_facebook, pool)
         plan = FaultPlan(kills=[(0, 3)])  # first stage dispatch
@@ -451,12 +451,47 @@ class TestStagePoolRecovery:
             pool.fault_plan = plan
             faulted = _stage_solve(small_facebook, pool)
             assert plan.log == [("kill", 0, 3)]
-            assert pool.fallback_shards == 1
+            # Worker 0 owed six shards of the first stage; each one
+            # finished in the parent counts.
+            assert pool.fallbacks == 6
             assert not pool.healthy
         _assert_same_result(faulted, clean)
         assert faulted.stats.extra["worker_restarts"] == 1
-        assert faulted.stats.extra["degraded_to_serial"] == 1
+        assert faulted.stats.extra["degraded_to_serial"] == 6
         assert "chunk_retries" not in faulted.stats.extra
+
+    def test_exhausted_shard_degrades_the_context(
+        self, small_facebook, no_orphans
+    ):
+        """A stage shard past its retry budget degrades the context just
+        as an exhausted chunk does: the router goes serial until close()
+        discards the pool."""
+        problem = WASOProblem(graph=small_facebook, k=5)
+        kwargs = dict(budget=120, m=6, stages=3)
+        with ExecutionContext(workers=2, cpu_count=4) as context:
+            clean = context.solve(
+                problem, "cbas-nd", rng=4, mode="stage", **kwargs
+            )
+        plan = FaultPlan(kills=[(0, 3)])  # first stage dispatch
+        with ExecutionContext(workers=2, cpu_count=4, max_retries=0) as context:
+            context.pool().fault_plan = plan
+            faulted = context.solve(
+                problem, "cbas-nd", rng=4, mode="stage", **kwargs
+            )
+            assert plan.log == [("kill", 0, 3)]
+            _assert_same_result(faulted, clean)
+            assert faulted.stats.extra["degraded_to_serial"] > 0
+            assert context.degraded
+            assert (
+                context.resolve_mode(problem, budget=10_000, batch_size=4)
+                == "serial"
+            )
+            context.close()
+            assert not context.degraded
+            assert (
+                context.resolve_mode(problem, budget=10_000, batch_size=4)
+                != "serial"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -502,6 +537,49 @@ class TestMixedBatchRecovery:
         assert "shard_rpcs" not in faulted[0].stats.extra  # chunk
         assert faulted[1].stats.extra["worker_restarts"] == 1
         assert faulted[0].stats.extra["worker_restarts"] == 1
+
+    def test_exhaustion_under_a_mixed_batch_finishes_both_shapes(
+        self, small_facebook, no_orphans
+    ):
+        """With no retry budget, one kill loses both the chunk and the
+        stage shards worker 0 owes; the pool finishes both in the parent,
+        bit-identically, and the context goes degraded."""
+        problem = WASOProblem(graph=small_facebook, k=5)
+        big = max(
+            MIN_STAGE_BUDGET,
+            -(-STAGE_WORK_THRESHOLD // small_facebook.number_of_nodes()),
+        )
+        small = dict(budget=40, m=4, stages=2)
+        requests = [
+            SolveRequest(problem, "cbas-nd", 1, dict(small)),
+            SolveRequest(
+                problem, "cbas-nd", 2, dict(budget=big, m=6, stages=3)
+            ),
+            SolveRequest(problem, "cbas-nd", 3, dict(small)),
+        ]
+        with ExecutionContext(workers=2, cpu_count=4) as context:
+            clean = context.solve_many(requests)
+        # Worker 0: seq 1 = install, seq 2 = the chunk holding request 0.
+        # Killed before the chunk is sent, it also owes the stage-routed
+        # solve's spec and first-stage shards, sent after it.
+        plan = FaultPlan(kills=[(0, 2)])
+        with ExecutionContext(workers=2, cpu_count=4, max_retries=0) as context:
+            context.pool().fault_plan = plan
+            faulted = context.solve_many(requests)
+            assert plan.log == [("kill", 0, 2)]
+            assert context.degraded
+            # Worker 0's chunk request and its six first-stage shards
+            # finished in the parent.
+            assert context.pool().counters()["fallbacks"] == 7
+        for fault_result, clean_result in zip(faulted, clean):
+            _assert_same_result(fault_result, clean_result)
+        assert "shard_rpcs" in faulted[1].stats.extra  # stage-routed
+        assert "shard_rpcs" not in faulted[0].stats.extra  # chunk
+        # Both shapes account the same window: the one kill, no retry.
+        for result in faulted:
+            assert result.stats.extra["worker_restarts"] == 1
+            assert result.stats.extra["degraded_to_serial"] == 7
+            assert "chunk_retries" not in result.stats.extra
 
 
 # ----------------------------------------------------------------------

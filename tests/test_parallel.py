@@ -153,10 +153,11 @@ class TestResidentSolvePool:
         for index, (chunk, problem) in enumerate(
             zip(outcomes, (problem_a, problem_b))
         ):
-            status, echoed, members, value = chunk[0][:4]
+            ((status, echoed, result),) = chunk
             assert status == "ok" and echoed == index
             direct = CBASND(**kwargs).solve(problem, rng=7)
-            assert members == direct.members and value == direct.willingness
+            assert result.members == direct.members
+            assert result.willingness == direct.willingness
 
     def test_closed_pool_rejected(self, small_facebook):
         pool = ResidentPool(1)

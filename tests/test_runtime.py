@@ -459,6 +459,22 @@ class TestSolveMany:
         assert "graph_installs" not in batched[1].stats.extra
         assert "graph_installs" in batched[0].stats.extra
 
+    def test_pool_routed_results_report_their_solve_time(self, runtime_graph):
+        """A chunk reply carries the worker's whole result, wall clock
+        included, so the serving layer's latency model can learn from
+        pool-routed solves."""
+        problem = WASOProblem(graph=runtime_graph, k=5)
+        kwargs = dict(budget=40, m=4, stages=2)
+        requests = [
+            SolveRequest(problem, "cbas-nd", seed, dict(kwargs))
+            for seed in (1, 2, 3, 4)
+        ]
+        with ExecutionContext(workers=2, cpu_count=4) as context:
+            results = context.solve_many(requests, mode="solve")
+        for result in results:
+            assert "graph_installs" in result.stats.extra  # pool-routed
+            assert result.stats.elapsed_seconds > 0
+
     def test_shared_rng_instance_runs_serially_in_order(self, runtime_graph):
         """A shared generator's stream consumption matches a plain loop."""
         problem = WASOProblem(graph=runtime_graph, k=5)
@@ -962,7 +978,7 @@ class TestOnlinePlannerRuntime:
             assert result.solution.is_feasible(problem)
         assert _children() == before
 
-    def test_planner_warm_state_lives_in_the_context(self, small_facebook):
+    def test_planner_keeps_its_own_warm_state(self, small_facebook):
         problem = WASOProblem(graph=small_facebook, k=5)
         with ExecutionContext() as context:
             planner = OnlinePlanner(
@@ -972,14 +988,15 @@ class TestOnlinePlannerRuntime:
                 context=context,
             )
             solution = planner.plan()
-            assert context.warm_state(planner._warm_key) is not None
+            assert planner._warm_state is not None
+            # Installed on the solver only for the duration of a solve.
+            assert planner.solver.warm_state is None
             planner.record_decline(next(iter(sorted(solution.members))))
             assert (
                 planner.last_result.stats.extra.get("warm_start") is True
             )
             planner.close()
-            # close() clears the planner's slot in the shared storage.
-            assert context.warm_state(planner._warm_key) is None
+            assert planner._warm_state is None
 
     def test_planner_survives_a_solve_mode_context(self, small_facebook):
         """Regression: a forced-solve-mode context must not break online

@@ -556,6 +556,32 @@ class TestSLORouting:
         assert reply["extra"]["slo_budget"] == floor
         assert reply["extra"]["slo_overrun"] is True
 
+    def test_pool_routed_solves_feed_the_calibration(
+        self, small_facebook, no_orphans
+    ):
+        """Solves served through the pool report their own wall clock, so
+        the (engine, "solve") cell learns and shows on /metrics."""
+
+        async def scenario():
+            daemon = ServingDaemon(
+                small_facebook, mode="solve", **_daemon_kwargs()
+            )
+            host, port = await daemon.start()
+            try:
+                replies = await _send_all(host, port, _specs())
+                metrics = await _http_get(host, port, "/metrics")
+            finally:
+                await daemon.shutdown()
+            return replies, metrics
+
+        replies, (code, body) = asyncio.run(scenario())
+        for reply in replies.values():
+            assert reply["ok"], reply
+            assert reply["stats"]["elapsed_s"] > 0
+        assert code == 200
+        cell = body["calibration"]["compiled/solve"]
+        assert cell["observations"] == len(replies) == 4
+
     def test_slo_and_budget_are_mutually_exclusive(
         self, small_facebook, no_orphans
     ):
