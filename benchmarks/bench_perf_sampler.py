@@ -51,7 +51,10 @@ vector engine ≥5× over the dict reference for CBAS-ND on the n=10k
 graph, the
 slim worker payload is strictly smaller than the dict-graph pickle, the
 resident session performs exactly one graph install per (graph, worker)
-pair, both engines return identical seeded solutions, and — on machines
+pair, both engines return identical seeded solutions, the vector
+engine's n=10k CBAS-ND delivers at least ``MIN_VECTOR_OVER_COMPILED_CBASND``
+times the compiled engine's samples/sec (measured from alternating
+solves, so it holds on a host whose speed drifts), and — on machines
 with at least 4 CPUs — the stage-sharded solve beats the serial wall
 clock by ≥1.5× (machines with fewer cores record the numbers without
 gating, matching ``bench_fig5_parallel``'s convention).
@@ -59,9 +62,10 @@ gating, matching ``bench_fig5_parallel``'s convention).
 Regression checking: ``python benchmarks/bench_perf_sampler.py --check``
 re-measures and compares against the *committed* ``BENCH_sampler.json``
 without overwriting it, failing (exit 1) on any throughput metric more
-than 20% below the baseline or on growth of any shipped payload byte
+than 20% below the baseline, on growth of any shipped payload byte
 count (the slim arrays and the resident-session series; pickle sizes
-are deterministic, so any growth is a real regression).  Payload bytes
+are deterministic, so any growth is a real regression), or on the
+same-run vector/compiled ratio falling below its floor.  Payload bytes
 are also machine-independent, so the tier-2 marker exposes them as a
 standalone gate: ``pytest benchmarks/ -m tier2`` runs the payload
 regression check (plus the multi-core wall-clock gates where the CPUs
@@ -72,9 +76,11 @@ hardware changes.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
+import statistics
 import time
 from pathlib import Path
 
@@ -115,6 +121,14 @@ MIN_CBASND_SPEEDUP = 2.0
 #: Acceptance gate for the vector engine's n=10k CBAS-ND solve over the
 #: dict reference path (the PR-7 tentpole number).
 MIN_VECTOR_CBASND_SPEEDUP = 5.0
+#: Same-run ratio gate: the vector engine's n=10k CBAS-ND samples/sec
+#: over the compiled engine's, from back-to-back solve pairs in one
+#: process, so a slow stretch of the host slows both sides and the
+#: ratio holds where the absolute ``--check`` baselines drift; a vector
+#: kernel slowed by 20% falls below it.
+MIN_VECTOR_OVER_COMPILED_CBASND = 1.5
+#: Alternating (compiled, vector) solve pairs behind the ratio.
+RATIO_ROUNDS = 20
 #: Acceptance gate for the stage-sharded n=10k solve (needs >= 4 CPUs).
 MIN_STAGE_PARALLEL_SPEEDUP = 1.5
 #: --check fails when a throughput metric drops below baseline by more
@@ -192,6 +206,45 @@ def _bench_cbas_nd(problem: WASOProblem, engine: str) -> tuple[float, object]:
         best_rate = max(best_rate, result.stats.samples_drawn / elapsed)
         solution = result
     return best_rate, solution
+
+
+def _bench_vector_over_compiled(problem: WASOProblem) -> float:
+    """CBAS-ND samples/sec, vector over compiled, from paired solves.
+
+    ``_bench_cbas_nd`` times one engine's solves back to back, seconds
+    before or after the other's, so host drift between the two moves
+    their ratio.  Here every round solves once on each engine, flipping
+    the order, with the collector run before and paused during each
+    timed solve (a full collection over the dict graph costs tens of
+    ms and lands on whichever solve triggers it); the result is the
+    median over rounds of each pair's rate ratio.
+    """
+    solvers = [
+        CBASND(
+            budget=CBASND_BUDGET,
+            m=START_NODES,
+            stages=CBASND_STAGES,
+            engine=engine,
+        )
+        for engine in ("compiled", "vector")
+    ]
+    for solver in solvers:
+        solver.solve(problem, rng=1)  # warm-up solve
+    ratios = []
+    for round_ in range(RATIO_ROUNDS):
+        rates = [0.0, 0.0]
+        for side in (0, 1) if round_ % 2 == 0 else (1, 0):
+            gc.collect()
+            gc.disable()
+            try:
+                started = time.perf_counter()
+                result = solvers[side].solve(problem, rng=7)
+                elapsed = time.perf_counter() - started
+            finally:
+                gc.enable()
+            rates[side] = result.stats.samples_drawn / elapsed
+        ratios.append(rates[1] / rates[0])
+    return statistics.median(ratios)
 
 
 def _bench_stage_parallel(problem: WASOProblem) -> dict:
@@ -364,6 +417,9 @@ def run_experiment(write: bool = True) -> dict:
             entry[f"speedup_vector_{metric}"] = (
                 entry["vector"][metric] / entry["reference"][metric]
             )
+        entry["vector_over_compiled_cbas_nd"] = _bench_vector_over_compiled(
+            problem
+        )
         entry["identical_solutions"] = (
             entry["compiled"]["cbas_willingness"]
             == entry["reference"]["cbas_willingness"]
@@ -449,6 +505,18 @@ def check_against_baseline(fresh: dict, baseline: dict) -> list[str]:
                 )
     failures.extend(_check_resident_series(fresh, baseline))
     return failures
+
+
+def same_run_ratio_failures(fresh: dict) -> list[str]:
+    """Failures of the same-run ratio gates (no baseline needed)."""
+    ratio = fresh["sizes"]["10000"]["vector_over_compiled_cbas_nd"]
+    if ratio < MIN_VECTOR_OVER_COMPILED_CBASND:
+        return [
+            f"n=10000 vector/compiled cbas_nd_samples_per_sec: "
+            f"{ratio:.2f}x is below the same-run floor "
+            f"{MIN_VECTOR_OVER_COMPILED_CBASND:.2f}x"
+        ]
+    return []
 
 
 def _check_resident_series(fresh: dict, baseline: dict) -> list[str]:
@@ -546,6 +614,12 @@ def test_perf_sampler(benchmark):
         "vector CBAS-ND fell below the 5x acceptance gate over the dict "
         f"reference: {big['speedup_vector_cbas_nd_samples_per_sec']:.2f}x"
     )
+    print(
+        "vector/compiled cbas-nd at n=10000: "
+        f"{big['vector_over_compiled_cbas_nd']:.2f}x"
+    )
+    failures = same_run_ratio_failures(payload)
+    assert not failures, "\n".join(failures)
     # The resident serving session: exactly one graph install per
     # (graph, worker) pair, warm batches and replans ship only specs.
     resident = payload["resident_solve"]
@@ -655,7 +729,8 @@ def _print_summary(result: dict) -> None:
             f"cbas {entry['speedup_cbas_samples_per_sec']:.2f}x, "
             f"cbas-nd {entry['speedup_cbas_nd_samples_per_sec']:.2f}x, "
             f"vector cbas-nd "
-            f"{entry['speedup_vector_cbas_nd_samples_per_sec']:.2f}x, "
+            f"{entry['speedup_vector_cbas_nd_samples_per_sec']:.2f}x "
+            f"({entry['vector_over_compiled_cbas_nd']:.2f}x compiled), "
             f"identical={entry['identical_solutions']}, "
             f"payload {sizes['compiled_arrays_bytes']}B vs "
             f"{sizes['dict_graph_bytes']}B dict"
@@ -692,7 +767,8 @@ if __name__ == "__main__":
         action="store_true",
         help="re-measure and compare against the committed "
         "BENCH_sampler.json without overwriting it; exit 1 on >20%% "
-        "throughput regression or any payload-size regression",
+        "throughput regression, any payload-size regression, or a "
+        "same-run ratio below its floor",
     )
     args = parser.parse_args()
 
@@ -704,7 +780,9 @@ if __name__ == "__main__":
             committed = json.load(handle)
         fresh = run_experiment(write=False)
         _print_summary(fresh)
-        problems = check_against_baseline(fresh, committed)
+        problems = check_against_baseline(
+            fresh, committed
+        ) + same_run_ratio_failures(fresh)
         if problems:
             print("\nREGRESSIONS against committed baseline:")
             for line in problems:

@@ -632,8 +632,11 @@ class ExpansionSampler:
         for index in member_indices:
             status[index] = member_token
         frontier = list(seed_frontier)
-        for index in frontier:
-            status[index] = frontier_token
+        if connected:
+            # Only the connected row pass reads frontier stamps; a
+            # WASO-dis seed frontier is every allowed node, O(n).
+            for index in frontier:
+                status[index] = frontier_token
 
         count = len(member_indices)
         # random.Random.randrange(n) is a validation wrapper around
@@ -749,8 +752,9 @@ class ExpansionSampler:
         for index in member_indices:
             status[index] = member_token
         frontier = list(seed_frontier)
-        for index in frontier:
-            status[index] = frontier_token
+        if connected:
+            for index in frontier:
+                status[index] = frontier_token
         weights = list(seed_weights)
         cumulative = list(seed_cumulative)
 

@@ -17,11 +17,13 @@ stdlib ``asyncio`` server on top of the self-healing runtime:
   ``["set_tightness", ...]`` / ``["remove_edge", ...]`` records, see
   :meth:`~repro.graph.compiled.CompiledGraph.apply_deltas`): the
   tenant's graph is patched **between batches at the dispatch
-  boundary** — never under a solve in flight — and because the patch
-  preserves the payload token and bumps the index generation, warm
-  pool workers are refreshed by a sparse ``graph_patch`` record on
-  the next batch instead of a full re-install.  The same port answers
-  plain HTTP ``GET /healthz`` / ``/readyz`` / ``/metrics`` for probes.
+  boundary** — never under a solve in flight; the mutations queued
+  there apply in arrival order in one worker-thread hop — and because
+  the patch preserves the payload token and bumps the index
+  generation, warm pool workers are refreshed by a sparse
+  ``graph_patch`` record on the next batch instead of a full
+  re-install.  The same port answers plain HTTP ``GET /healthz`` /
+  ``/readyz`` / ``/metrics`` for probes.
 
 * **admission control** (:mod:`repro.serving.admission`) — a bounded
   queue with typed ``kind="shed"`` / ``kind="queue_timeout"``
@@ -586,11 +588,13 @@ class ServingDaemon:
                 # flight, and the very next batch already plans sparse
                 # ``graph_patch`` records against the new generation.
                 while self._mutations:
-                    entry = self._mutations.popleft()
-                    payload = await asyncio.to_thread(
-                        self._apply_mutation, entry
+                    entries = list(self._mutations)
+                    self._mutations.clear()
+                    payloads = await asyncio.to_thread(
+                        self._apply_mutations, entries
                     )
-                    self._settle_future(entry, payload)
+                    for entry, payload in zip(entries, payloads):
+                        self._settle_future(entry, payload)
                 if not self.admission.depth:
                     continue
                 self._batch_seq += 1
@@ -703,6 +707,11 @@ class ServingDaemon:
             self._observe(request, len(batch), result)
             payloads.append(self._ok_payload(entry, result))
         return payloads
+
+    def _apply_mutations(self, entries) -> "list[dict]":
+        """:meth:`_apply_mutation` on each queued entry in arrival order,
+        in one worker-thread hop."""
+        return [self._apply_mutation(entry) for entry in entries]
 
     def _apply_mutation(self, entry) -> dict:
         """Apply one tenant's delta batch (worker thread, between batches).

@@ -7,14 +7,26 @@ batched array operations.  Each draw is one **row** of the batch:
   scalar kernel's generation stamps — 0 untouched, 1 frontier, 2
   member;
 * the frontier lives in a padded ``(rows, capacity)`` matrix with
-  per-row lengths and the scalar kernel's exact swap-pop;
+  per-row lengths and the scalar kernel's exact swap-pop.  Under CE
+  (CBAS-ND) a float64 matrix beside it holds each slot's clamped weight
+  ``max(w, 0.0)``: written once when the node is pushed, swap-popped
+  with the frontier, +0.0 in every slot past the row's length — so a
+  pick is one ``cumsum`` over that window instead of a re-gather,
+  re-mask and re-clamp of the per-start weight rows;
+* a chunk's rows start as copies of one seed row per start (status,
+  frontier, CE weights, members), built once and copied to the start's
+  draw rows with one row gather;
 * each expansion step picks one frontier node per live row — uniformly
-  (CBAS), by cumulative-sum weighted pick over a per-start weight row
-  (CBAS-ND's CE vectors), or by the greedy willingness bias (RGreedy) —
-  then scatters the member mark, gathers the chosen nodes' CSR rows in
-  one flat pass, reduces the member-edge pair weights per row with
+  (CBAS), by cumulative-sum weighted pick over the CE weights
+  (CBAS-ND), or by the greedy willingness bias (RGreedy, whose weights
+  depend on the row's members and so are rebuilt every step) — then
+  scatters the member mark, gathers the chosen nodes' CSR rows in one
+  flat pass, reduces the member-edge pair weights per row with
   ``bincount``, and appends the fresh allowed neighbours to the
-  frontier;
+  frontier.  Edge-sized reads and writes of the status, frontier and
+  weight matrices go through flat ``row · width + column`` indices into
+  their raveled views, which numpy serves several times faster than the
+  same cells through 2-D fancy indexing;
 * willingness starts from the sampler's cached per-seed base value (the
   scalar evaluator's exact float) and accumulates the same
   ``weighted_interest + Σ pair_w`` per-step delta.  The per-row
@@ -27,7 +39,8 @@ batched array operations.  Each draw is one **row** of the batch:
 Randomness comes positionally from :mod:`repro.vector.rng`: row ``i`` of
 a start's uniform matrix belongs to planned draw ``first_draw + i``, so
 the same draws produce the same samples however they are batched or
-sharded.
+sharded.  One call reads every start's rows through a single re-keyed
+:class:`~repro.vector.rng.PhiloxStreams` generator.
 
 Semantics notes
 ---------------
@@ -41,10 +54,10 @@ Semantics notes
   allowed nodes.
 * The weighted pick resolves threshold position with the scalar path's
   ``bisect_left`` semantics and degrades to the uniform formula when a
-  weight row's frontier mass is zero.  (The scalar path's
-  measure-zero ``threshold == 0.0`` tie-break — first *positive* slot
-  rather than first slot — is not reproduced; it has probability 2⁻⁵³
-  per pick and the engines do not share RNG streams anyway.)
+  row's frontier mass is zero.  (The scalar path's measure-zero
+  ``threshold == 0.0`` tie-break — first *positive* slot rather than
+  first slot — is not reproduced; it has probability 2⁻⁵³ per pick and
+  the engines do not share RNG streams anyway.)
 """
 
 from __future__ import annotations
@@ -52,12 +65,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.sampling import Sample
-from repro.vector.rng import draw_uniforms, uniform_width
+from repro.vector.rng import PhiloxStreams, uniform_width
 
 __all__ = ["draw_stage_batch"]
 
 #: Rough cap on (rows × per-row cells) per chunk, bounding the status /
-#: frontier / uniform matrices to a few MB however large the stage is.
+#: frontier / CE-weight / uniform matrices to a few MB however large
+#: the stage is.
 MAX_CHUNK_CELLS = 4_000_000
 
 #: Never chunk below this many rows — tiny chunks forfeit the batching.
@@ -109,7 +123,10 @@ def draw_stage_batch(
     if specs:
         n = sampler._compiled.number_of_nodes
         cells_per_row = n + max_frontier + 8 * width
+        if mode == "ce":
+            cells_per_row += 8 * max_frontier  # weights beside the frontier
         chunk_rows = max(MIN_CHUNK_ROWS, MAX_CHUNK_CELLS // cells_per_row)
+        streams = PhiloxStreams(base_key, width)
         # Greedy chunk packing over the concatenated row space; a spec
         # larger than a chunk is split by draw range, which is free —
         # draw d's uniforms depend only on (base_key, start_key, d).
@@ -119,7 +136,7 @@ def draw_stage_batch(
             remaining = count
             while remaining > 0:
                 if filled >= chunk_rows:
-                    _run_chunk(sampler, chunk, base_key, width, mode, out)
+                    _run_chunk(sampler, chunk, streams, mode, out)
                     chunk, filled = [], 0
                 take = min(chunk_rows - filled, remaining)
                 chunk.append((position, start_key, state, first, take, wrow))
@@ -127,7 +144,7 @@ def draw_stage_batch(
                 remaining -= take
                 filled += take
         if chunk:
-            _run_chunk(sampler, chunk, base_key, width, mode, out)
+            _run_chunk(sampler, chunk, streams, mode, out)
 
     results = []
     for position, entry in enumerate(entries):
@@ -163,7 +180,7 @@ def _allowed_mask(sampler) -> np.ndarray:
     return mask
 
 
-def _run_chunk(sampler, specs, base_key, width, mode, out):
+def _run_chunk(sampler, specs, streams, mode, out):
     """Expand one chunk of rows to completion and emit its samples."""
     problem = sampler.problem
     comp = sampler._compiled
@@ -173,62 +190,64 @@ def _run_chunk(sampler, specs, base_key, width, mode, out):
     connected = problem.connected
     check_allowed = sampler._check_allowed
     allowed = _allowed_mask(sampler) if (connected and check_allowed) else None
+    ce = mode == "ce"
 
-    counts = [count for *_head, count, _wrow in specs]
-    rows = sum(counts)
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-
-    status = np.zeros((rows, n), dtype=np.int8)
-    willing = np.empty(rows, dtype=np.float64)
-    member_lens = np.empty(rows, dtype=np.int64)
-    members = np.zeros((rows, k), dtype=np.int64)
-    picks = np.zeros(rows, dtype=np.int64)
-    spec_of = np.empty(rows, dtype=np.int64)
-    alive = np.ones(rows, dtype=bool)
-    uniforms = np.empty((rows, width), dtype=np.float64)
-
-    capacity = 8
-    for _position, _key, state, _first, _count, _wrow in specs:
-        capacity = max(capacity, len(state[3]))
-    frontier = np.zeros((rows, capacity), dtype=np.int64)
-    frontier_lens = np.zeros(rows, dtype=np.int64)
-
-    for s, (_position, start_key, state, first, count, _wrow) in enumerate(
-        specs
-    ):
-        value, _seed_connected, member_indices, seed_frontier = state
-        lo, hi = int(bounds[s]), int(bounds[s + 1])
-        spec_of[lo:hi] = s
-        willing[lo:hi] = value
-        member_lens[lo:hi] = len(member_indices)
-        if member_indices:
-            member_arr = np.asarray(member_indices, dtype=np.int64)
-            members[lo:hi, : len(member_indices)] = member_arr
-            status[lo:hi, member_arr] = 2
-        if seed_frontier:
-            frontier_arr = np.asarray(seed_frontier, dtype=np.int64)
-            frontier[lo:hi, : len(seed_frontier)] = frontier_arr
-            status[lo:hi, frontier_arr] = 1
-            frontier_lens[lo:hi] = len(seed_frontier)
-        uniforms[lo:hi] = draw_uniforms(
-            base_key, start_key, first, count, width
+    # One seed row per start, filled by flat scatters over every start
+    # at once, then one row gather to the start's draw rows.
+    states = [spec[2] for spec in specs]
+    starts = len(states)
+    frontier_nodes, start_of, column, frontier_sizes = _ragged(
+        [state[3] for state in states]
+    )
+    capacity = max(8, int(frontier_sizes.max()))
+    seed_status = np.zeros((starts, n), dtype=np.int8)
+    seed_frontier = np.zeros((starts, capacity), dtype=np.int64)
+    seed_members = np.zeros((starts, k), dtype=np.int64)
+    seed_slots = start_of * capacity + column
+    seed_cells = start_of * n + frontier_nodes
+    seed_frontier.ravel()[seed_slots] = frontier_nodes
+    seed_status.ravel()[seed_cells] = 1
+    if ce:
+        # Per-start weight rows; flat index start · n + node.
+        weights = np.stack(
+            [np.asarray(spec[5], dtype=np.float64) for spec in specs]
+        ).ravel()
+        seed_weights = np.zeros((starts, capacity), dtype=np.float64)
+        seed_weights.ravel()[seed_slots] = np.maximum(
+            weights[seed_cells], 0.0
         )
+    member_nodes, start_of, column, member_sizes = _ragged(
+        [state[2] for state in states]
+    )
+    seed_members.ravel()[start_of * k + column] = member_nodes
+    seed_status.ravel()[start_of * n + member_nodes] = 2
 
-    weight_matrix = None
-    if mode == "ce":
-        weight_matrix = np.stack(
-            [np.asarray(wrow, dtype=np.float64) for *_head, wrow in specs]
-        )
+    spec_of = np.repeat(np.arange(starts), [spec[4] for spec in specs])
+    status = seed_status[spec_of]
+    frontier = seed_frontier[spec_of]
+    members = seed_members[spec_of]
+    if ce:
+        frontier_weights = seed_weights[spec_of]
+        weight_base = spec_of * n
+    willing = np.array([state[0] for state in states], dtype=np.float64)[
+        spec_of
+    ]
+    member_lens = member_sizes[spec_of]
+    frontier_lens = frontier_sizes[spec_of]
+    uniforms = np.concatenate(
+        [streams.rows(spec[1], spec[3], spec[4]) for spec in specs]
+    )
+    alive = np.ones(spec_of.size, dtype=bool)
+    status_flat = status.ravel()
 
-    offsets = vg.offsets
     targets = vg.targets
     pair_w = vg.pair_w
     interest = vg.weighted_interest
-    degrees = vg.degrees
 
-    max_steps = k - int(member_lens.min())
-    for _step in range(max_steps):
-        act = np.nonzero(alive & (member_lens < k))[0]
+    # A row still active at step s has made exactly s picks (rows only
+    # ever leave the active set), so step s reads uniform column s.
+    for step in range(k - int(member_lens.min())):
+        act = np.flatnonzero(alive & (member_lens < k))
         if act.size == 0:
             break
         lens = frontier_lens[act]
@@ -239,102 +258,101 @@ def _run_chunk(sampler, specs, base_key, width, mode, out):
             if act.size == 0:
                 break
             lens = frontier_lens[act]
-        u = uniforms[act, picks[act]]
+        u = uniforms[:, step][act]
 
         if mode == "uniform":
             pick = np.minimum((u * lens).astype(np.int64), lens - 1)
-            chosen = frontier[act, pick]
-        else:
+        elif ce:
+            span = int(lens.max())
+            pick = _weighted_pick(
+                np.cumsum(frontier_weights[act, :span], axis=1), u, lens
+            )
+        else:  # greedy
             span = int(lens.max())
             window = frontier[act, :span]
             in_frontier = np.arange(span)[None, :] < lens[:, None]
-            if mode == "ce":
-                values = weight_matrix[spec_of[act][:, None], window]
-                values = np.where(in_frontier, values, 0.0)
-                np.maximum(values, 0.0, out=values)
-            else:  # greedy
-                values = _greedy_weights(
-                    vg, status, willing, act, window, in_frontier
-                )
-            cumulative = np.cumsum(values, axis=1)
-            total = cumulative[:, -1]
-            threshold = u * total
-            weighted = np.minimum(
-                (cumulative < threshold[:, None]).sum(axis=1), lens - 1
+            values = _greedy_weights(
+                vg, status_flat, n, willing, act, window, in_frontier
             )
-            fallback = np.minimum((u * lens).astype(np.int64), lens - 1)
-            pick = np.where(total > 0.0, weighted, fallback)
-            chosen = window[np.arange(act.size), pick]
+            pick = _weighted_pick(np.cumsum(values, axis=1), u, lens)
 
-        # Swap-pop the chosen frontier slot, mark membership.
-        frontier[act, pick] = frontier[act, lens - 1]
-        frontier_lens[act] = lens - 1
-        status[act, chosen] = 2
+        # Swap-pop the chosen frontier slot (with its CE weight; the
+        # vacated tail slot goes back to +0.0), mark membership.
+        row_slots = act * capacity
+        slot = row_slots + pick
+        tail = row_slots + lens - 1
+        frontier_flat = frontier.ravel()
+        chosen = frontier_flat[slot]
+        frontier_flat[slot] = frontier_flat[tail]
+        if ce:
+            weights_flat = frontier_weights.ravel()
+            weights_flat[slot] = weights_flat[tail]
+            weights_flat[tail] = 0.0
+        lens -= 1
+        row_cells = act * n
+        status_flat[row_cells + chosen] = 2
         members[act, member_lens[act]] = chosen
         member_lens[act] += 1
-        picks[act] += 1
 
         # Merged delta + frontier extension over the chosen nodes' CSR
         # rows, all rows flattened into one gather.
-        deltas = interest[chosen].copy()
-        chosen_deg = degrees[chosen]
-        edge_total = int(chosen_deg.sum())
-        if edge_total:
-            row_rep = np.repeat(np.arange(act.size), chosen_deg)
-            head = np.concatenate(([0], np.cumsum(chosen_deg)[:-1]))
-            slots = (
-                np.arange(edge_total, dtype=np.int64)
-                - head[row_rep]
-                + offsets[chosen][row_rep]
+        deltas = interest[chosen]
+        owner, slots = _csr_slots(vg, chosen)
+        neighbours = targets[slots]
+        cells = row_cells[owner] + neighbours
+        state = status_flat[cells]
+        member_edge = state == 2
+        if member_edge.any():
+            deltas += np.bincount(
+                owner[member_edge],
+                weights=pair_w[slots[member_edge]],
+                minlength=act.size,
             )
-            neighbours = targets[slots]
-            state = status[act[row_rep], neighbours]
-            member_edge = state == 2
-            if member_edge.any():
-                deltas += np.bincount(
-                    row_rep[member_edge],
-                    weights=pair_w[slots][member_edge],
-                    minlength=act.size,
-                )
-            if connected:
-                fresh = state == 0
-                if allowed is not None:
-                    fresh &= allowed[neighbours]
-                fresh_total = int(fresh.sum())
-                if fresh_total:
-                    fresh_rows = row_rep[fresh]
-                    fresh_nodes = neighbours[fresh]
-                    per_row = np.bincount(fresh_rows, minlength=act.size)
-                    row_head = np.concatenate(
-                        ([0], np.cumsum(per_row)[:-1])
+        if connected:
+            fresh = state == 0
+            if allowed is not None:
+                fresh &= allowed[neighbours]
+            fresh = np.flatnonzero(fresh)
+            if fresh.size:
+                fresh_rows = owner[fresh]
+                fresh_nodes = neighbours[fresh]
+                per_row = np.bincount(fresh_rows, minlength=act.size)
+                ends = lens + per_row
+                needed = int(ends.max())
+                if needed > capacity:
+                    capacity = max(needed, 2 * capacity)
+                    frontier = _widened(frontier, capacity)
+                    if ce:
+                        frontier_weights = _widened(frontier_weights, capacity)
+                # A row's fresh nodes fill its slots lens .. ends - 1 in
+                # CSR order.
+                shift = ends - np.cumsum(per_row)
+                column = np.arange(fresh.size) + shift[fresh_rows]
+                fresh_rows = act[fresh_rows]
+                fresh_slots = fresh_rows * capacity + column
+                frontier.ravel()[fresh_slots] = fresh_nodes
+                status_flat[cells[fresh]] = 1
+                if ce:
+                    frontier_weights.ravel()[fresh_slots] = np.maximum(
+                        weights[weight_base[fresh_rows] + fresh_nodes], 0.0
                     )
-                    rank = np.arange(fresh_total) - row_head[fresh_rows]
-                    column = frontier_lens[act][fresh_rows] + rank
-                    needed = int(column.max()) + 1
-                    if needed > frontier.shape[1]:
-                        grown = np.zeros(
-                            (rows, max(needed, 2 * frontier.shape[1])),
-                            dtype=np.int64,
-                        )
-                        grown[:, : frontier.shape[1]] = frontier
-                        frontier = grown
-                    frontier[act[fresh_rows], column] = fresh_nodes
-                    status[act[fresh_rows], fresh_nodes] = 1
-                    frontier_lens[act] += per_row
+                lens = ends
+        frontier_lens[act] = lens
         willing[act] += deltas
 
     # Emit samples in draw order; complete rows succeed unless a
     # disconnected seed failed to bridge (scalar kernel's final check).
     nodes = comp.nodes
     graph = sampler.graph
-    complete = alive & (member_lens == k)
+    complete = (alive & (member_lens == k)).tolist()
     member_rows = members.tolist()
     willing_values = willing.tolist()
     bridge_memo: dict = {}
-    for s, (position, _key, state, _first, _count, _wrow) in enumerate(specs):
+    row = 0
+    for position, _key, state, _first, count, _wrow in specs:
         seed_connected = state[1]
         dest = out[position]
-        for b in range(int(bounds[s]), int(bounds[s + 1])):
+        for b in range(row, row + count):
             if not complete[b]:
                 dest.append(None)
                 continue
@@ -355,9 +373,59 @@ def _run_chunk(sampler, specs, base_key, width, mode, out):
                     indices=indices,
                 )
             )
+        row += count
 
 
-def _greedy_weights(vg, status, willing, act, window, in_frontier):
+def _ragged(tuples):
+    """Concatenated int ``tuples``: the values, each value's tuple
+    index, its position within that tuple, and the tuple lengths."""
+    sizes = np.array([len(values) for values in tuples], dtype=np.int64)
+    values = np.concatenate(
+        [np.asarray(values, dtype=np.int64) for values in tuples]
+    )
+    owner = np.repeat(np.arange(len(tuples)), sizes)
+    heads = np.cumsum(sizes) - sizes
+    column = np.arange(values.size) - np.repeat(heads, sizes)
+    return values, owner, column, sizes
+
+
+def _csr_slots(vg, nodes):
+    """``nodes``' CSR rows, concatenated: each slot and its owner.
+
+    The owner is the node's position in ``nodes``; slot ``offsets[v] +
+    j`` lands at flat position ``head[v] + j``, so one ``repeat`` of
+    ``offsets[v] - head[v]`` per row turns ``arange`` into the slots.
+    """
+    degrees = vg.degrees[nodes]
+    ends = np.cumsum(degrees)
+    owner = np.repeat(np.arange(nodes.size), degrees)
+    slots = np.arange(owner.size) + np.repeat(
+        vg.offsets[nodes] - (ends - degrees), degrees
+    )
+    return owner, slots
+
+
+def _weighted_pick(cumulative, u, lens):
+    """Per row: ``bisect_left(cumulative, u · total)`` capped at the
+    last frontier slot, or the uniform slot when the total mass is not
+    positive.  Slots past a row's length hold +0.0, so its prefix sums
+    there equal its total and never fall below the threshold."""
+    total = cumulative[:, -1]
+    weighted = np.minimum(
+        (cumulative < (u * total)[:, None]).sum(axis=1), lens - 1
+    )
+    uniform = np.minimum((u * lens).astype(np.int64), lens - 1)
+    return np.where(total > 0.0, weighted, uniform)
+
+
+def _widened(matrix, capacity):
+    """``matrix`` with its columns zero-padded to ``capacity``."""
+    wide = np.zeros((matrix.shape[0], capacity), dtype=matrix.dtype)
+    wide[:, : matrix.shape[1]] = matrix
+    return wide
+
+
+def _greedy_weights(vg, status_flat, n, willing, act, window, in_frontier):
     """RGreedy's frontier weights ``max(0, W(S ∪ {v}))`` for every slot.
 
     One flat CSR gather over every (row, frontier-slot) pair: the delta
@@ -367,28 +435,16 @@ def _greedy_weights(vg, status, willing, act, window, in_frontier):
     """
     flat_nodes = window[in_frontier]
     entry_rows = np.nonzero(in_frontier)[0]
-    deltas = vg.weighted_interest[flat_nodes].copy()
-    node_deg = vg.degrees[flat_nodes]
-    edge_total = int(node_deg.sum())
-    if edge_total:
-        entry_rep = np.repeat(np.arange(flat_nodes.size), node_deg)
-        head = np.concatenate(([0], np.cumsum(node_deg)[:-1]))
-        slots = (
-            np.arange(edge_total, dtype=np.int64)
-            - head[entry_rep]
-            + vg.offsets[flat_nodes][entry_rep]
+    deltas = vg.weighted_interest[flat_nodes]
+    owner, slots = _csr_slots(vg, flat_nodes)
+    cells = (act[entry_rows] * n)[owner] + vg.targets[slots]
+    member_edge = status_flat[cells] == 2
+    if member_edge.any():
+        deltas += np.bincount(
+            owner[member_edge],
+            weights=vg.pair_w[slots[member_edge]],
+            minlength=flat_nodes.size,
         )
-        member_edge = (
-            status[act[entry_rows[entry_rep]], vg.targets[slots]] == 2
-        )
-        if member_edge.any():
-            deltas += np.bincount(
-                entry_rep[member_edge],
-                weights=vg.pair_w[slots][member_edge],
-                minlength=flat_nodes.size,
-            )
     values = np.zeros(window.shape, dtype=np.float64)
-    values[in_frontier] = np.maximum(
-        0.0, willing[act][entry_rows] + deltas
-    )
+    values[in_frontier] = np.maximum(0.0, willing[act][entry_rows] + deltas)
     return values

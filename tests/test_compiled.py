@@ -399,17 +399,31 @@ class TestSolverEquivalence:
             reference.stats.failed_samples == fast.stats.failed_samples
         )
 
-    def test_lambda_weighted_runs_identical(self):
+    @pytest.mark.parametrize("forbidden", [0, 9], ids=["free", "forb9"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda engine: CBAS(budget=100, m=6, stages=3, engine=engine),
+            lambda engine: CBASND(budget=100, m=6, stages=3, engine=engine),
+            lambda engine: RGreedy(budget=40, m=6, engine=engine),
+        ],
+        ids=["cbas", "cbas-nd", "rgreedy"],
+    )
+    def test_lambda_weighted_runs_identical(self, make, forbidden):
+        """WASO-dis (``connected=False``) on a lambda-weighted graph:
+        the compiled uniform, CE and greedy draws equal the reference."""
         graph = _general_graph(80, seed=13)
-        problem = WASOProblem(graph=graph, k=4, connected=False)
-        reference = CBASND(
-            budget=100, m=6, stages=3, engine="reference"
-        ).solve(problem, rng=3)
-        fast = CBASND(budget=100, m=6, stages=3, engine="compiled").solve(
-            problem, rng=3
+        problem = WASOProblem(
+            graph=graph,
+            k=4,
+            connected=False,
+            forbidden=frozenset(graph.node_list()[10 : 10 + forbidden]),
         )
+        reference = make("reference").solve(problem, rng=3)
+        fast = make("compiled").solve(problem, rng=3)
         assert reference.members == fast.members
         assert reference.willingness == fast.willingness
+        assert reference.stats.samples_drawn == fast.stats.samples_drawn
 
     def test_component_skip_reported(self, two_components_graph):
         # k=3 fits both triangles; shrink one by forbidding a node so its

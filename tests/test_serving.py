@@ -1171,6 +1171,86 @@ class TestMutate:
         )
         _assert_reply_matches(warm, direct)
 
+    def test_queued_mutations_cross_to_a_thread_once(
+        self, no_orphans, monkeypatch
+    ):
+        """Mutations queued behind a stalled batch apply in one
+        worker-thread hop, in arrival order, each with its own reply; a
+        bad delta fails only its own line."""
+        graph = self._graph()
+        edges = sorted(graph.edges())[:5]
+        # Batch i rewrites its own edge and the shared edges[0], so the
+        # final graph depends on every batch and on their order.
+        batches = [
+            [
+                ["set_tightness", *edges[i + 1], 0.1 * (i + 1)],
+                ["set_tightness", *edges[0], 0.2 * (i + 1)],
+            ]
+            for i in range(4)
+        ]
+        lines = [
+            {"id": f"m{number}", "kind": "mutate", "deltas": deltas}
+            for number, deltas in enumerate(batches, 1)
+        ]
+        lines.insert(2, {"id": "bad", "kind": "mutate",
+                         "deltas": [["remove_edge", "no-such", "node"]]})
+        base = graph.compiled().generation
+        hops = []
+        to_thread = asyncio.to_thread
+
+        async def counting_to_thread(func, *args, **kwargs):
+            hops.append(getattr(func, "__name__", ""))
+            return await to_thread(func, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "to_thread", counting_to_thread)
+
+        async def scenario():
+            daemon = ServingDaemon(
+                graph,
+                fault_plan=FaultPlan(stalls={1: 0.4}),
+                **_daemon_kwargs(),
+            )
+            host, port = await daemon.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(json.dumps(self._solve_spec("s1")).encode())
+                writer.write(b"\n")
+                await writer.drain()
+                await asyncio.sleep(0.1)  # admitted; its batch is stalled
+                for line in lines:
+                    writer.write(json.dumps(line).encode() + b"\n")
+                await writer.drain()
+                writer.write_eof()
+                replies = [
+                    json.loads(line) async for line in reader if line.strip()
+                ]
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await daemon.shutdown()
+            return replies
+
+        replies = asyncio.run(scenario())
+        assert sum("mutation" in name for name in hops) == 1, hops
+        mutations = [reply for reply in replies if reply["id"] != "s1"]
+        assert [reply["id"] for reply in mutations] == [
+            "m1", "m2", "bad", "m3", "m4"
+        ]
+        assert mutations.pop(2)["error"]["kind"] == "mutate_error"
+        assert [reply["generation"] for reply in mutations] == [
+            base + 1, base + 2, base + 3, base + 4
+        ]
+        assert all(
+            reply["ok"] and reply["applied"] == 2 for reply in mutations
+        )
+        one_by_one = self._graph().compiled()
+        for deltas in batches:
+            one_by_one.apply_deltas([tuple(op) for op in deltas])
+        served = graph.compiled()
+        assert served.generation == one_by_one.generation
+        assert list(served.pair_w) == list(one_by_one.pair_w)
+        assert list(served.targets) == list(one_by_one.targets)
+
     def test_mutate_validation(self, no_orphans):
         graph = self._graph()
 

@@ -22,6 +22,8 @@ solvers.
 import math
 import pickle
 import random
+from bisect import bisect_left
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ import pytest
 from repro.algorithms.cbas import CBAS
 from repro.algorithms.cbas_nd import CBASND
 from repro.algorithms.rgreedy import RGreedy
+from repro.algorithms.sampling import ExpansionSampler, seed_for_start
 from repro.ce.probability import SelectionProbabilities
 from repro.core.problem import WASOProblem
 from repro.core.willingness import (
@@ -53,7 +56,13 @@ from repro.scenarios import (
 from repro.scenarios.filters import attribute_filter, filtered_problem
 from repro.vector import VectorGraph, VectorWillingnessEvaluator, vector_graph_for
 from repro.vector import arrays as vector_arrays
-from repro.vector.rng import draw_uniforms, philox_key, uniform_width
+from repro.vector import kernel as vector_kernel
+from repro.vector.rng import (
+    PhiloxStreams,
+    draw_uniforms,
+    philox_key,
+    uniform_width,
+)
 
 W_TOLERANCE = 1e-9
 
@@ -311,6 +320,314 @@ class TestPhiloxStreams:
     def test_width_must_align_to_blocks(self):
         with pytest.raises(ValueError):
             draw_uniforms(1, 1, 0, 1, 6)
+
+    def test_draw_uniforms_pinned(self):
+        """The stream behind every seeded vector result, pinned."""
+        assert draw_uniforms(99, 7, 3, 1, 4).tolist() == [
+            [
+                0.8432423037530774,
+                0.2797357024893441,
+                0.08504406079611815,
+                0.23527611562660677,
+            ]
+        ]
+        assert draw_uniforms(2**64 - 3, 2**64 - 1, 2**70, 1, 4).tolist() == [
+            [
+                0.07078301161301193,
+                0.7494100535291117,
+                0.38131107362456396,
+                0.4790623646973663,
+            ]
+        ]
+
+    def test_rekeyed_generator_matches_fresh_philox(self):
+        """One generator re-keyed per start emits what a freshly built
+        ``Philox(key, counter)`` does, whatever it emitted before."""
+        base = 2**64 - 3
+        streams = PhiloxStreams(base, 12)
+        for start_key, first, count in (
+            (7, 0, 3),
+            (2**64 - 1, 5, 2),
+            (7, 2, 4),
+            (0, 2**70, 1),
+        ):
+            fresh = np.random.Generator(
+                np.random.Philox(
+                    key=philox_key(base, start_key), counter=first * 3
+                )
+            ).random(count * 12)
+            assert np.array_equal(
+                streams.rows(start_key, first, count), fresh.reshape(count, 12)
+            )
+            assert np.array_equal(
+                draw_uniforms(base, start_key, first, count, 12),
+                fresh.reshape(count, 12),
+            )
+
+
+# ----------------------------------------------------------------------
+# Exact kernel oracle
+# ----------------------------------------------------------------------
+def _oracle_weighted_pick(u, weights):
+    """Sequential prefix sums, ``bisect_left`` capped at the last slot,
+    uniform formula when the mass is not positive."""
+    length = len(weights)
+    cumulative = list(accumulate(weights))
+    total = cumulative[-1]
+    if total > 0.0:
+        return min(bisect_left(cumulative, u * total), length - 1)
+    return min(int(u * length), length - 1)
+
+
+def _oracle_batch(sampler, entry, base_key, mode, weight_row, growth):
+    """One entry's batch, one draw at a time, in plain Python.
+
+    A transcription of the kernel's semantics on a swap-pop frontier:
+    draw ``d`` reads row ``d`` of the start's Philox stream, one uniform
+    per pick; a pick adds ``interest[c] + (0.0 + Σ member pair_w)`` with
+    the pair weights summed in CSR order; fresh allowed neighbours join
+    the frontier in CSR order.  ``growth`` collects the largest frontier
+    each draw reached.
+    """
+    problem = sampler.problem
+    k = problem.k
+    vg = sampler.evaluator.vgraph
+    offsets = vg.offsets.tolist()
+    targets = vg.targets.tolist()
+    pair_w = vg.pair_w.tolist()
+    interest = vg.weighted_interest.tolist()
+    allowed = sampler._allowed_mask
+    weights_of = None if weight_row is None else weight_row.tolist()
+    value, seed_connected, seed_members, seed_frontier = sampler._seed_state(
+        entry["seed"]
+    )
+    uniforms = draw_uniforms(
+        base_key,
+        entry["start_key"],
+        entry["first_draw"],
+        entry["count"],
+        uniform_width(k),
+    ).tolist()
+
+    def member_sum(node, member_set):
+        total = 0.0
+        for slot in range(offsets[node], offsets[node + 1]):
+            if targets[slot] in member_set:
+                total += pair_w[slot]
+        return total
+
+    batch = []
+    for row in uniforms:
+        if len(seed_members) > k:
+            batch.append(None)
+            continue
+        members = list(seed_members)
+        member_set = set(members)
+        frontier = list(seed_frontier)
+        seen = member_set | set(frontier)
+        willingness = value
+        stalled = False
+        for u in row[: k - len(members)]:
+            if not frontier:
+                stalled = True
+                break
+            if mode == "uniform":
+                pick = min(int(u * len(frontier)), len(frontier) - 1)
+            elif mode == "ce":
+                pick = _oracle_weighted_pick(
+                    u, [max(weights_of[v], 0.0) for v in frontier]
+                )
+            else:
+                pick = _oracle_weighted_pick(
+                    u,
+                    [
+                        max(
+                            0.0,
+                            willingness
+                            + (interest[v] + member_sum(v, member_set)),
+                        )
+                        for v in frontier
+                    ],
+                )
+            node = frontier[pick]
+            frontier[pick] = frontier[-1]
+            frontier.pop()
+            members.append(node)
+            member_set.add(node)
+            edges = 0.0
+            for slot in range(offsets[node], offsets[node + 1]):
+                other = targets[slot]
+                if other in member_set:
+                    edges += pair_w[slot]
+                elif (
+                    problem.connected
+                    and other not in seen
+                    and (allowed is None or allowed[other])
+                ):
+                    seen.add(other)
+                    frontier.append(other)
+            willingness += interest[node] + edges
+            growth.append(len(frontier))
+        if stalled:
+            batch.append(None)
+            continue
+        group = frozenset(map(sampler._compiled.nodes.__getitem__, members))
+        if (
+            problem.connected
+            and not seed_connected
+            and not sampler.graph.is_connected_subset(group)
+        ):
+            batch.append(None)
+            continue
+        batch.append((tuple(members), group, willingness))
+    return batch
+
+
+def _oracle_truncate(batch, carry, max_failures):
+    failures = carry
+    for position, drawn in enumerate(batch):
+        failures = failures + 1 if drawn is None else 0
+        if failures >= max_failures:
+            return batch[: position + 1]
+    return batch
+
+
+class TestKernelOracle:
+    """``draw_stage_batch`` equals a row-at-a-time transcription exactly:
+    member index tuples, willingness bits and failure positions."""
+
+    #: (start position, first draw, count, carried failures) per entry.
+    ENTRIES = ((0, 0, 5, 0), (3, 3, 9, 1), (40, 11, 4, 0), (77, 1, 7, 2),
+               (121, 5, 6, 0))
+    BASE_KEY = 0xC0FFEE_0123_4567_89AB
+    MAX_FAILURES = 3
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        # Sparse enough that some picks push no fresh neighbour (so a
+        # stale tail weight would stay inside the pick window) and some
+        # starts sit in components smaller than k (stalled draws).
+        return random_social_graph(160, average_degree=4.0, seed=12)
+
+    def _sampler(self, graph, connected, constrained):
+        nodes = graph.node_list()
+        extra = {}
+        if constrained:
+            extra = {
+                "required": frozenset({nodes[3]}),
+                "forbidden": frozenset(nodes[10:19]),
+            }
+        problem = WASOProblem(graph=graph, k=8, connected=connected, **extra)
+        sampler = ExpansionSampler(problem, evaluator_for(graph, "vector"))
+        sampler.vector_key = self.BASE_KEY
+        return sampler
+
+    @pytest.mark.parametrize("chunked", [False, True], ids=["one", "chunked"])
+    @pytest.mark.parametrize(
+        "constrained", [False, True], ids=["free", "req1-forb9"]
+    )
+    @pytest.mark.parametrize("connected", [True, False], ids=["conn", "dis"])
+    @pytest.mark.parametrize("mode", ["uniform", "ce", "greedy"])
+    def test_matches_row_oracle(
+        self, graph, mode, connected, constrained, chunked, monkeypatch
+    ):
+        sampler = self._sampler(graph, connected, constrained)
+        nodes = graph.node_list()
+        index_of = graph.compiled().index_of
+        entries = [
+            {
+                "start_key": index_of[nodes[start]],
+                "seed": seed_for_start(sampler.problem, nodes[start]),
+                "first_draw": first,
+                "count": count,
+                "failures": failures,
+            }
+            for start, first, count, failures in self.ENTRIES
+        ]
+        weight_rows = None
+        if mode == "ce":
+            rows = np.random.default_rng(5).random((len(entries), len(nodes)))
+            rows -= 0.2  # negative weights clamp to zero
+            rows[:, ::7] = 0.0
+            rows[2] = 0.0  # all-zero row: the uniform fallback
+            weight_rows = list(rows)
+        chunks = []
+        if chunked:
+            run_chunk = vector_kernel._run_chunk
+
+            def spy(sampler, chunk, *rest):
+                chunks.append([spec[0] for spec in chunk])
+                return run_chunk(sampler, chunk, *rest)
+
+            monkeypatch.setattr(vector_kernel, "MAX_CHUNK_CELLS", 0)
+            monkeypatch.setattr(vector_kernel, "MIN_CHUNK_ROWS", 7)
+            monkeypatch.setattr(vector_kernel, "_run_chunk", spy)
+
+        batches = vector_kernel.draw_stage_batch(
+            sampler,
+            entries,
+            self.BASE_KEY,
+            mode=mode,
+            weight_rows=weight_rows,
+            max_failures=self.MAX_FAILURES,
+        )
+
+        growth = []
+        expected = [
+            _oracle_truncate(
+                _oracle_batch(
+                    sampler,
+                    entry,
+                    self.BASE_KEY,
+                    mode,
+                    None if weight_rows is None else weight_rows[position],
+                    growth,
+                ),
+                entry["failures"],
+                self.MAX_FAILURES,
+            )
+            for position, entry in enumerate(entries)
+        ]
+        got = [
+            [
+                None
+                if sample is None
+                else (sample.indices, sample.members, sample.willingness)
+                for sample in batch
+            ]
+            for batch in batches
+        ]
+        assert [
+            [None if drawn is None else drawn[:2] for drawn in batch]
+            for batch in got
+        ] == [
+            [None if drawn is None else drawn[:2] for drawn in batch]
+            for batch in expected
+        ]
+        assert [
+            [None if drawn is None else drawn[2].hex() for drawn in batch]
+            for batch in got
+        ] == [
+            [None if drawn is None else drawn[2].hex() for drawn in batch]
+            for batch in expected
+        ]
+        if connected:
+            # The frontier outgrew every seed frontier, so the kernel's
+            # frontier matrix had to grow.
+            seed_frontier = max(
+                len(sampler._seed_state(entry["seed"])[3])
+                for entry in entries
+            )
+            assert max(growth) > max(8, seed_frontier)
+            if constrained:
+                # Some seeds fail to bridge to the required node.
+                assert any(None in batch for batch in expected)
+        if chunked:
+            assert len(chunks) >= 3
+            assert any(
+                set(first) & set(second)
+                for first, second in zip(chunks, chunks[1:])
+            )
 
 
 # ----------------------------------------------------------------------
