@@ -193,9 +193,11 @@ def _paper_scale(cache_dir) -> int:
     ]
     started = time.perf_counter()
     with ExecutionContext(workers=2) as context:
-        results = context.solve_many(requests, mode="solve")
+        # A fresh pool's lifetime counters are this batch's wire
+        # traffic (each result reports only its own chunk's share).
+        context.solve_many(requests, mode="solve")
+        traffic = context.pool().counters()
     solve_s = time.perf_counter() - started
-    extra = results[0].stats.extra
     index_bytes = sum(child.stat().st_size for child in index.iterdir())
     print(
         f"paper scale: n={n}, index {index_bytes / 1e6:.0f}MB on disk, "
@@ -204,8 +206,8 @@ def _paper_scale(cache_dir) -> int:
     )
     print(
         f"wire traffic: path install {install_bytes}B, batch payload "
-        f"{extra['batch_payload_bytes']}B, "
-        f"{extra['graph_installs']} graph installs"
+        f"{traffic['payload_bytes']}B, "
+        f"{traffic['installs']} graph installs"
     )
     failures = []
     if install_bytes > MAX_PATH_INSTALL_BYTES:
@@ -213,14 +215,14 @@ def _paper_scale(cache_dir) -> int:
             f"path install {install_bytes}B exceeds the "
             f"{MAX_PATH_INSTALL_BYTES}B gate"
         )
-    if extra["graph_installs"] != 2:
+    if traffic["installs"] != 2:
         failures.append(
             "expected one install per worker (2), saw "
-            f"{extra['graph_installs']}"
+            f"{traffic['installs']}"
         )
-    if extra["batch_payload_bytes"] > 100_000:
+    if traffic["payload_bytes"] > 100_000:
         failures.append(
-            f"batch payload {extra['batch_payload_bytes']}B — a full "
+            f"batch payload {traffic['payload_bytes']}B — a full "
             "array pickle crossed the worker pipes"
         )
     compiled.close()

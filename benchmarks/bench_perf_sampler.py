@@ -326,7 +326,12 @@ def _bench_resident_solve(problem: WASOProblem) -> dict:
         ]
 
     with ExecutionContext(workers=RESIDENT_WORKERS) as context:
-        first = context.solve_many(batch(), mode="solve")
+        # A batch's wire traffic is the pool's counter window around it
+        # (each result reports only its own chunk's share).
+        counters = context.pool().counters
+        before = counters()
+        context.solve_many(batch(), mode="solve")
+        first = counters() - before
         installs_first = context.pool().installs
         with OnlinePlanner(
             problem,
@@ -337,7 +342,9 @@ def _bench_resident_solve(problem: WASOProblem) -> dict:
             group = planner.plan()
             planner.record_decline(next(iter(sorted(group.members))))
         installs_replan = context.pool().installs
-        second = context.solve_many(batch(), mode="solve")
+        before = counters()
+        context.solve_many(batch(), mode="solve")
+        second = counters() - before
         installs_second = context.pool().installs
         # A warm stage-sharded single solve dispatches to every worker
         # of the same pool (the planner's small replans route serial by
@@ -348,18 +355,16 @@ def _bench_resident_solve(problem: WASOProblem) -> dict:
             budget=RESIDENT_BUDGET, m=10, stages=3,
         )
         warm_installs = context.pool().installs - installs_second
-    first_extra = first[0].stats.extra
-    second_extra = second[0].stats.extra
     return {
         "n": RESIDENT_N,
         "workers": RESIDENT_WORKERS,
         "requests": RESIDENT_REQUESTS,
         "budget": RESIDENT_BUDGET,
         "detached_graph_bytes": slim,
-        "first_batch_payload_bytes": first_extra["batch_payload_bytes"],
-        "first_batch_graph_installs": first_extra["graph_installs"],
-        "second_batch_payload_bytes": second_extra["batch_payload_bytes"],
-        "second_batch_graph_installs": second_extra["graph_installs"],
+        "first_batch_payload_bytes": first["payload_bytes"],
+        "first_batch_graph_installs": first["installs"],
+        "second_batch_payload_bytes": second["payload_bytes"],
+        "second_batch_graph_installs": second["installs"],
         "replan_graph_installs": installs_replan - installs_first,
         "warm_solve_graph_installs": warm_installs,
         "warm_solve_payload_bytes": warm.stats.extra["batch_payload_bytes"],

@@ -214,7 +214,6 @@ def _run_deterministic() -> dict:
                 workers=2,
                 cpu_count=CPU_COUNT,
                 max_queue=DET_MAX_QUEUE,
-                batch_max=DET_MAX_QUEUE,
                 fault_plan=FaultPlan(stalls={1: DET_STALL_S}),
             ),
             ArrivalScript.burst(DET_COUNT),

@@ -182,10 +182,15 @@ def mmap_residency_entry(family: str, n: int, cache_dir=None) -> dict:
         ]
 
     with ExecutionContext(workers=2) as context:
-        cold = context.solve_many(batch(0), mode="solve")
-        warm = context.solve_many(batch(100), mode="solve")
-    cold_extra = cold[0].stats.extra
-    warm_extra = warm[0].stats.extra
+        # A batch's wire traffic is the pool's counter window around it
+        # (each result reports only its own chunk's share).
+        counters = context.pool().counters
+        before = counters()
+        context.solve_many(batch(0), mode="solve")
+        cold = counters() - before
+        before = counters()
+        context.solve_many(batch(100), mode="solve")
+        warm = counters() - before
     entry = {
         "n": n,
         "workers": 2,
@@ -193,10 +198,10 @@ def mmap_residency_entry(family: str, n: int, cache_dir=None) -> dict:
             child.stat().st_size for child in index.iterdir()
         ),
         "path_install_bytes": len(install_message),
-        "cold_batch_payload_bytes": cold_extra["batch_payload_bytes"],
-        "cold_graph_installs": cold_extra["graph_installs"],
-        "warm_batch_payload_bytes": warm_extra["batch_payload_bytes"],
-        "warm_graph_installs": warm_extra["graph_installs"],
+        "cold_batch_payload_bytes": cold["payload_bytes"],
+        "cold_graph_installs": cold["installs"],
+        "warm_batch_payload_bytes": warm["payload_bytes"],
+        "warm_graph_installs": warm["installs"],
     }
     compiled.close()
     return entry

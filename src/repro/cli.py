@@ -277,12 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
         "boundary (default: wait forever)",
     )
     serve.add_argument(
-        "--batch-max",
-        type=int,
-        default=8,
-        help="most requests one dispatch batch may carry (default: 8)",
-    )
-    serve.add_argument(
         "--timeout-s",
         type=float,
         default=None,
@@ -513,7 +507,6 @@ def main(argv=None) -> int:
                 max_queue=args.max_queue,
                 max_inflight_per_tenant=args.max_inflight_per_tenant,
                 queue_timeout_s=args.queue_timeout_s,
-                batch_max=args.batch_max,
                 default_deadline_s=args.timeout_s,
             )
         except (TypeError, ValueError, ReproError) as error:

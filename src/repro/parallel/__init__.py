@@ -97,7 +97,8 @@ down the process — through one recovery path for both modes:
   record_recovery`: ``worker_restarts``, ``chunk_retries``,
   ``degraded_to_serial`` (chunk requests and stage shards finished in
   the parent), ``deadline_missed`` — written only when non-zero, so
-  fault-free stats are byte-identical to pre-supervision builds.
+  fault-free stats are byte-identical to pre-supervision builds.  A
+  result reports only its own records: its chunk, or its stage shards.
 * **Fault injection** — :class:`~repro.parallel.faults.FaultPlan`
   (test-only, via the pool's ``fault_plan`` attribute) deterministically
   kills a worker before its Nth RPC, drops a reply, or delays one past

@@ -37,8 +37,9 @@ The serving daemon (:mod:`repro.serving`) added a fourth fault surface
 above the pool — its dispatch loop.  A plan can therefore also carry
 
 * **stalls** — hold the daemon's queue for the given number of seconds
-  immediately before it drains its ``seq``-th batch (1-based).  A stall
-  longer than the admission controller's queue patience forces
+  immediately before its ``seq``-th dispatch round (1-based; a round is
+  one take from the admission queue that took work).  A stall longer
+  than the admission controller's queue patience forces
   deterministic ``kind="queue_timeout"`` rejections; a stall combined
   with a burst of arrivals fills the bounded queue and forces
   deterministic ``kind="shed"`` rejections — *which* requests are shed
@@ -46,8 +47,8 @@ above the pool — its dispatch loop.  A plan can therefore also carry
 
 Worker kills/drops/delays compose with the daemon transparently: the
 daemon installs the same plan on its context's pool, so a kill fires
-mid-request underneath a served batch — chunk-routed or stage-routed —
-exactly as it would under a direct ``solve_many``.
+mid-request underneath a served request — chunk-routed or stage-routed
+— exactly as it would under a direct ``solve_many``.
 
 :class:`ArrivalScript` is the other half of daemon chaos: a
 deterministic open-loop arrival schedule (bursts, uniform rates, seeded
@@ -92,10 +93,11 @@ class FaultPlan:
         long before delivering it (a hold past the request's deadline
         cancels the dispatch instead).
     stalls:
-        Mapping ``batch -> seconds`` for the serving daemon's dispatch
+        Mapping ``round -> seconds`` for the serving daemon's dispatch
         loop: hold the queue for that long immediately before the
-        daemon drains its ``batch``-th batch (1-based; ``batch`` may be
-        :data:`NEXT_RPC` to stall the next drain regardless of
+        daemon's ``round``-th dispatch round (1-based, counting rounds
+        that took work — the daemon's ``batches`` counter; ``round``
+        may be :data:`NEXT_RPC` to stall the next round regardless of
         position).  Ignored by the pool — only
         :class:`~repro.serving.daemon.ServingDaemon` consults it.
 
@@ -154,18 +156,18 @@ class FaultPlan:
                 return float(hold)
         return None
 
-    def queue_stall(self, batch: int) -> "float | None":
-        """Seconds to hold the daemon's queue before draining ``batch``.
+    def queue_stall(self, ordinal: int) -> "float | None":
+        """Seconds to hold the daemon's queue before round ``ordinal``.
 
-        Consulted by the serving daemon's dispatch loop with its
-        1-based batch ordinal; returns ``None`` when no stall is
-        planned there.  Fires at most once per planned position, like
-        every other fault.
+        Consulted by the serving daemon's dispatch loop with the 1-based
+        ordinal of the dispatch round it is about to take; returns
+        ``None`` when no stall is planned there.  Fires at most once per
+        planned position, like every other fault.
         """
         for spec, hold in list(self._stalls.items()):
-            if spec == NEXT_RPC or spec == batch:
+            if spec == NEXT_RPC or spec == ordinal:
                 del self._stalls[spec]
-                self.log.append(("stall", "queue", batch))
+                self.log.append(("stall", "queue", ordinal))
                 return float(hold)
         return None
 

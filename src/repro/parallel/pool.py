@@ -6,10 +6,12 @@ draws in worker processes (CPython threads cannot exploit the paper's
 OpenMP parallelism — the GIL).  One :class:`ResidentPool` runs them in
 two shapes on the same W processes, one per request shape:
 
-* **chunks** — a batch of whole solves, each running serially at full
-  statistical strength inside one worker.  :meth:`ResidentPool.ship`
-  and :meth:`ResidentPool.collect` carry :meth:`~repro.runtime.context.
-  ExecutionContext.solve_many`'s multiplexed requests.
+* **chunks** — whole solves, each running serially at full statistical
+  strength inside one worker.  :meth:`ResidentPool.submit` places each
+  request on the least-loaded worker, and :meth:`ResidentPool.collect`
+  or :meth:`ResidentPool.settle_any` settles the replies — all of them,
+  or whichever arrives first — for :meth:`~repro.runtime.context.
+  ExecutionContext.submit`.
 * **stage shards** — one large solve's per-stage draws split across the
   workers and merged at stage boundaries, the paper's Fig. 5(d) loop:
   :meth:`ResidentPool.ensure_resident`, :meth:`ResidentPool.start_solve`
@@ -36,6 +38,7 @@ import random
 import time
 import traceback
 from collections import Counter, deque
+from multiprocessing.connection import wait as _wait_ready
 from typing import Optional
 
 from repro.algorithms.sampling import (
@@ -61,7 +64,19 @@ from repro.parallel.residency import (
     plan_graph_message,
 )
 
-__all__ = ["ResidentPool", "split_budget", "worker_payload_bytes"]
+__all__ = [
+    "MAX_INFLIGHT_PER_WORKER",
+    "ResidentPool",
+    "split_budget",
+    "worker_payload_bytes",
+]
+
+#: Chunk requests a continuous dispatcher keeps in flight per worker.
+#: With two, a worker starts its next solve as soon as it replies to
+#: the last one, instead of idling through the parent's round trip: on
+#: ``serve-mutate`` (2 workers, 2-vCPU Xeon) two against one cut p50
+#: latency 11.6% and raised throughput 9.1% in 3 of 3 pairs.
+MAX_INFLIGHT_PER_WORKER = 2
 
 
 def split_budget(total_budget: int, workers: int) -> list[int]:
@@ -322,10 +337,13 @@ class ResidentPool:
     queue, in send order; replies come back in the same order, so the
     head record is what the next reply answers.  One install planner
     (:meth:`_plan_installs`) puts whatever graph installs, generation
-    patches and solve spec a record needs ahead of it, and one wait
-    (:meth:`_await`) settles each reply on its own record — chunk and
-    stage replies share a worker's stream, and neither kind of waiter
-    ever consumes the other's reply.
+    patches and solve spec a record needs ahead of it, and one reader
+    (:meth:`_settle_next`) settles each reply on its own record —
+    chunk and stage replies share a worker's stream, and neither kind
+    of waiter ever consumes the other's reply.  A stage waits on its
+    own records; a chunk waiter either waits on given records
+    (:meth:`collect`) or takes whichever reply arrives first from any
+    worker (:meth:`settle_any`).
 
     The pool is *self-healing* through one recovery path
     (:meth:`_recover`).  A worker that dies — or that outlives a chunk
@@ -344,8 +362,11 @@ class ResidentPool:
     worker replying with a message-level error, i.e. a bug rather than
     a crash) are terminal: the pool closes itself and raises.
 
-    Accounting is lifetime-only: :meth:`counters` snapshots the totals
-    and each consumer diffs two snapshots around its own dispatch.
+    Accounting is kept twice: :meth:`counters` snapshots lifetime
+    totals, and every chunk and stage record carries a ``tally`` of its
+    own installs, bytes, restarts, retries, parent fallbacks and
+    deadline misses, so each result reports only the records that
+    carried it.
     """
 
     def __init__(
@@ -374,8 +395,9 @@ class ResidentPool:
         #: Messages sent per worker slot (1-based; monotone across
         #: respawns, so a fault plan can name any point in the session).
         self._sends = [0] * workers
-        #: Shipped chunks awaiting :meth:`collect`, in shipping order.
-        self._chunks: "list[tuple[int, dict]]" = []
+        #: Shipped chunk records not yet handed back by :meth:`collect`
+        #: or :meth:`settle_any`, in shipping order (keyed by ``id``).
+        self._chunks: "dict[int, dict]" = {}
         #: Test-only :class:`~repro.parallel.faults.FaultPlan` hook,
         #: consulted wherever a message is sent or a reply received.
         self.fault_plan = None
@@ -442,7 +464,31 @@ class ResidentPool:
     # ------------------------------------------------------------------
     # Chunks
     # ------------------------------------------------------------------
-    def ship(self, worker: int, entries: "list[dict]", graphs: dict) -> None:
+    def submit(self, entries: "list[dict]", graphs: dict) -> "list[dict]":
+        """Ship ``entries`` to the least-loaded workers; returns the records.
+
+        Each entry goes to the worker with the fewest chunk requests in
+        flight, counting the entries placed before it, ties to the
+        lowest slot; the entries one worker gets travel as one chunk
+        (see :meth:`ship`).  A caller that keeps the pool busy submits
+        at most :data:`MAX_INFLIGHT_PER_WORKER` requests per worker.
+        """
+        loads = [
+            sum(len(r["entries"]) for r in queue if r["kind"] == "chunk")
+            for queue in self._inflight
+        ]
+        placed: "list[list[dict]]" = [[] for _ in range(self.workers)]
+        for entry in entries:
+            worker = min(range(self.workers), key=loads.__getitem__)
+            loads[worker] += 1
+            placed[worker].append(entry)
+        return [
+            self.ship(worker, chunk, graphs)
+            for worker, chunk in enumerate(placed)
+            if chunk
+        ]
+
+    def ship(self, worker: int, entries: "list[dict]", graphs: dict) -> dict:
         """Send one chunk of whole-solve entries to ``worker``.
 
         ``entries`` is a list of entry dicts (``index`` / ``problem`` /
@@ -451,12 +497,13 @@ class ResidentPool:
         instant); an entry whose ``problem`` is a payload-spec dict
         references ``graphs[token]`` — the detached compiled arrays —
         which are installed first *only* where the worker's ledger says
-        they are missing.  Replies are deferred: call :meth:`collect`
-        after every chunk of the batch has been shipped.
+        they are missing.  Returns the chunk's record; its reply is
+        settled by :meth:`collect` or :meth:`settle_any`.
         """
         entries = list(entries)
         record = {
             "kind": "chunk",
+            "worker": worker,
             "entries": entries,
             "graphs": {
                 entry["problem"]["token"]: graphs[entry["problem"]["token"]]
@@ -464,17 +511,19 @@ class ResidentPool:
                 if isinstance(entry["problem"], dict)
             },
             "retries": 0,
+            "tally": Counter(),
             "deadline": _entries_deadline(entries),
             "outcomes": [],
             "done": False,
         }
         self._dispatch(worker, record)
-        self._chunks.append((worker, record))
+        self._chunks[id(record)] = record
+        return record
 
-    def collect(self) -> "list[list]":
-        """Settle every shipped chunk; one outcome list per chunk, in
-        shipping order.
+    def collect(self, records: "Optional[list[dict]]" = None) -> "list[list]":
+        """Settle chunk records; one outcome list per record, in order.
 
+        ``records`` defaults to every shipped chunk not yet handed back.
         A solved entry comes back as ``("ok", index, result)`` with its
         :class:`~repro.algorithms.base.SolveResult`, whether a worker or
         (past the retry budget) the parent ran it.  A failed one comes
@@ -482,10 +531,61 @@ class ResidentPool:
         solve's traceback string or — for an expired deadline — a
         structured :class:`~repro.exceptions.RequestFailure`.
         """
-        chunks, self._chunks = self._chunks, []
-        for worker, record in chunks:
-            self._await(worker, record)
-        return [record["outcomes"] for _, record in chunks]
+        if records is None:
+            records = list(self._chunks.values())
+        for record in records:
+            self._chunks.pop(id(record), None)
+            self._await(record["worker"], record)
+        return [record["outcomes"] for record in records]
+
+    def settle_any(self, wake=None) -> "list[dict]":
+        """Settle replies until a chunk finishes; returns the finished ones.
+
+        Chunks a stage wait already settled (their replies queued ahead
+        of its own) come back at once.  Otherwise one
+        :func:`multiprocessing.connection.wait` watches every busy
+        worker's pipe (a dead worker's pipe reads as ready) up to the
+        earliest in-flight deadline, and each ready worker's next reply
+        goes through the reader every wait uses — crash respawn,
+        retries, deadline cancellation and fault-plan dispositions
+        included.  ``wake`` (a connection or file descriptor) cuts the
+        wait short: once it is readable the call returns, possibly with
+        nothing settled.  Returns an empty list when nothing is in
+        flight.
+        """
+        while True:
+            done = [r for r in self._chunks.values() if r["done"]]
+            if done:
+                for record in done:
+                    del self._chunks[id(record)]
+                return done
+            busy = {
+                self._conns[worker]: worker
+                for worker in range(self.workers)
+                if self._inflight[worker]
+            }
+            if not busy:
+                return []
+            deadlines = {w: self._deadline(w) for w in busy.values()}
+            due = [d for d in deadlines.values() if d is not None]
+            timeout = max(0.0, min(due) - time.monotonic()) if due else None
+            ready = _wait_ready(
+                [*busy, *([wake] if wake is not None else [])], timeout
+            )
+            if wake is not None and wake in ready:
+                return []
+            workers = {busy[conn] for conn in ready}
+            if not workers:
+                # Timed out: the reader expires each worker whose
+                # earliest deadline has passed.
+                now = time.monotonic()
+                workers = {
+                    worker
+                    for worker, deadline in deadlines.items()
+                    if deadline is not None and deadline <= now
+                }
+            for worker in sorted(workers):
+                self._settle_next(worker)
 
     # ------------------------------------------------------------------
     # Stage shards
@@ -522,6 +622,7 @@ class ResidentPool:
         worker_entries: "list[list[dict]]",
         rebuild,
         fallback,
+        tally: "Optional[Counter]" = None,
     ):
         """Execute one stage: ``worker_entries[w]`` goes to worker ``w``.
 
@@ -532,7 +633,9 @@ class ResidentPool:
         worker that lost them.  Before a crashed shard is re-sent,
         ``rebuild(worker, entries)`` refreshes it (the rebuilt CE mirrors
         need the full sync-patch history); a shard past its retry budget
-        runs in the parent as ``fallback(worker, entries)``.
+        runs in the parent as ``fallback(worker, entries)``.  Every
+        record of the stage counts its bytes and recovery events into
+        ``tally`` (a solve passes one across its stages).
         """
         if len(worker_entries) != self.workers:
             raise ValueError(
@@ -548,6 +651,7 @@ class ResidentPool:
                 "rebuild": rebuild,
                 "fallback": fallback,
                 "retries": 0,
+                "tally": Counter() if tally is None else tally,
                 "done": False,
             }
             for entries in worker_entries
@@ -567,6 +671,7 @@ class ResidentPool:
         graphs: dict,
         spec: "Optional[dict]" = None,
         pickles: "Optional[dict]" = None,
+        tally: "Optional[Counter]" = None,
     ) -> None:
         """Send ``worker`` whatever of ``graphs`` and ``spec`` it lacks.
 
@@ -581,7 +686,8 @@ class ResidentPool:
         pinned against eviction: the installs all travel ahead of the
         work, so a later install must never displace arrays an earlier
         one delivered.  ``pickles`` lets a caller installing one graph on
-        several workers pickle it once.
+        several workers pickle it once.  ``tally`` is the record the
+        messages travel ahead of: its installs and bytes count there.
         """
         ledger = self._ledgers[worker]
         for token, graph in graphs.items():
@@ -602,30 +708,42 @@ class ResidentPool:
                 data = pickle.dumps(message)
             if kind == "patch":
                 self.patch_bytes += len(data)
-            self._send(worker, data, {"kind": "setup"})
+            if tally is not None and kind == "install":
+                tally["installs"] += 1
+            elif tally is not None:
+                tally["patch_bytes"] += len(data)
+            self._send(worker, data, {"kind": "setup"}, tally)
         if spec is not None and self._solve_ids[worker] != spec["solve_id"]:
             data = pickle.dumps(("solve", spec))
-            self._send(worker, data, {"kind": "setup"})
+            self._send(worker, data, {"kind": "setup"}, tally)
             self._solve_ids[worker] = spec["solve_id"]
 
     def _dispatch(self, worker: int, record: dict) -> None:
         """Send a chunk or stage record, preceded by what it needs."""
+        tally = record["tally"]
         if record["kind"] == "chunk":
-            self._plan_installs(worker, record["graphs"])
+            self._plan_installs(worker, record["graphs"], tally=tally)
             message = ("chunk", record["entries"])
         else:
             spec = record["spec"]
-            self._plan_installs(worker, record["graphs"], spec)
+            self._plan_installs(worker, record["graphs"], spec, tally=tally)
             message = ("stage", spec["solve_id"], record["entries"])
-        self._send(worker, pickle.dumps(message), record)
+        self._send(worker, pickle.dumps(message), record, tally)
 
-    def _send(self, worker: int, data: bytes, record: dict) -> None:
+    def _send(
+        self,
+        worker: int,
+        data: bytes,
+        record: dict,
+        tally: "Optional[Counter]" = None,
+    ) -> None:
         """Send one pickled message; ``record`` awaits its reply in order.
 
-        Never raises on a dead worker: a send into its pipe either lands
-        in the OS buffer or fails outright, both leave the same state —
-        no reply will ever come — and the crash surfaces at the next
-        :meth:`_recv`'s liveness check, keeping one recovery path.
+        ``tally``, when given, counts the bytes.  Never raises on a dead
+        worker: a send into its pipe either lands in the OS buffer or
+        fails outright, both leave the same state — no reply will ever
+        come — and the crash surfaces at the next :meth:`_recv`'s
+        liveness check, keeping one recovery path.
         """
         if self._closed:
             raise RuntimeError("resident pool is closed")
@@ -637,6 +755,8 @@ class ResidentPool:
             self._procs[worker].join(timeout=5.0)
         self._inflight[worker].append(record)
         self.payload_bytes += len(data)
+        if tally is not None:
+            tally["payload_bytes"] += len(data)
         try:
             self._conns[worker].send_bytes(data)
         except (BrokenPipeError, OSError):
@@ -647,30 +767,45 @@ class ResidentPool:
     # ------------------------------------------------------------------
     def _await(self, worker: int, record: dict) -> None:
         """Settle ``worker``'s replies in send order until ``record`` is
-        settled; a dead or deadline-cancelled worker is recovered."""
+        settled."""
         if self._closed and not record["done"]:
             raise RuntimeError("resident pool is closed")
-        queue = self._inflight[worker]
         while not record["done"]:
-            try:
-                status, payload = self._recv(worker)
-            except WorkerCrashError:
-                self._recover(worker, expired=False)
-                continue
-            except DeadlineExpiredError:
-                self._recover(worker, expired=True)
-                continue
-            head = queue.popleft()
-            if status == "error":
-                self._fail(
-                    f"pool worker {worker} replied with a protocol error; "
-                    f"the pool has been closed:\n{payload}"
-                )
-            if head["kind"] == "chunk":
-                head["outcomes"].extend(payload)
-            else:
-                head["reply"] = payload
-            head["done"] = True
+            self._settle_next(worker)
+
+    def _settle_next(self, worker: int) -> None:
+        """Settle ``worker``'s next reply on its head record; a dead or
+        deadline-cancelled worker is recovered instead."""
+        try:
+            status, payload = self._recv(worker)
+        except WorkerCrashError:
+            self._recover(worker, expired=False)
+            return
+        except DeadlineExpiredError:
+            self._recover(worker, expired=True)
+            return
+        head = self._inflight[worker].popleft()
+        if status == "error":
+            self._fail(
+                f"pool worker {worker} replied with a protocol error; "
+                f"the pool has been closed:\n{payload}"
+            )
+        if head["kind"] == "chunk":
+            head["outcomes"].extend(payload)
+        else:
+            head["reply"] = payload
+        head["done"] = True
+
+    def _deadline(self, worker: int) -> "Optional[float]":
+        """Earliest deadline among ``worker``'s in-flight records."""
+        return min(
+            (
+                record["deadline"]
+                for record in self._inflight[worker]
+                if record.get("deadline") is not None
+            ),
+            default=None,
+        )
 
     def _recv(self, worker: int):
         """Wait for ``worker``'s next reply with liveness and deadline.
@@ -684,10 +819,7 @@ class ResidentPool:
         """
         conn = self._conns[worker]
         queue = self._inflight[worker]
-        deadline = min(
-            (r["deadline"] for r in queue if r.get("deadline") is not None),
-            default=None,
-        )
+        deadline = self._deadline(worker)
         disposition = None
         if self.fault_plan is not None:
             disposition = self.fault_plan.reply_disposition(
@@ -746,12 +878,15 @@ class ResidentPool:
         for record in records:
             if record["kind"] == "setup":
                 continue
+            tally = record["tally"]
+            tally["worker_restarts"] += 1
             if record["kind"] == "chunk":
                 live = []
                 for entry in record["entries"]:
                     deadline = entry.get("deadline")
                     if expired and deadline is not None and now >= deadline:
                         self.deadline_missed += 1
+                        tally["deadline_missed"] += 1
                         self._fail_entry(
                             record,
                             entry,
@@ -770,6 +905,7 @@ class ResidentPool:
                 # through the code a worker runs, from the same seeds.
                 self.healthy = False
                 self.fallbacks += len(record["entries"])
+                tally["fallbacks"] += len(record["entries"])
                 if record["kind"] == "chunk":
                     store = ResidentGraphStore()
                     for token, graph in record["graphs"].items():
@@ -786,6 +922,7 @@ class ResidentPool:
                 continue
             record["retries"] += 1
             self.retries += 1
+            tally["retries"] += 1
             # Bounded backoff: enough to let a transient cause (memory
             # pressure, a dying sibling) clear, never enough to wedge.
             time.sleep(min(0.01 * (2 ** (record["retries"] - 1)), 0.1))

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import itertools
 import pickle
+from collections import Counter
 from typing import Optional
 
 from repro.algorithms.stage_exec import (
@@ -122,9 +123,8 @@ class ShardedStageExecutor(StageExecutor):
         #: fallback rebuilds shard state from them.
         self._graphs: "Optional[dict]" = None
         self._spec: "Optional[dict]" = None
-        #: Pool counters at the start of the solve; recovery accounting
-        #: reports the difference.
-        self._counters0 = None
+        #: Bytes and recovery events of this solve's stage records.
+        self._tally: "Optional[Counter]" = None
         #: Vector-engine solves address each start's Philox stream by
         #: planned draw ordinal instead of per-shard RNG seeds.
         self._vector = False
@@ -139,9 +139,10 @@ class ShardedStageExecutor(StageExecutor):
                 "arrays, which cannot back the dict-based reference path"
             )
         problem = ctx.problem
-        self._counters0 = self.pool.counters()
+        before = self.pool.counters()
         shipped = self.pool.ensure_resident(problem)
-        shipping = self.pool.counters() - self._counters0
+        shipping = self.pool.counters() - before
+        self._tally = Counter()
         self._solve_id = next(_SOLVE_COUNTER)
         mode = solver._shard_mode()
         self._vector = ctx.sampler.is_vector
@@ -259,20 +260,21 @@ class ShardedStageExecutor(StageExecutor):
             worker_entries,
             self._rebuild,
             self._fallback,
+            self._tally,
         )
 
         stats = ctx.stats
         stats.extra["shard_rpcs"] += workers
         stats.extra["shard_patch_bytes"].append(stage_patch_bytes)
-        # Cumulative recovery accounting: keys appear only when the pool
-        # actually had to heal something, so fault-free stats are
-        # unchanged.
-        recovery = self.pool.counters() - self._counters0
+        # Cumulative recovery accounting of this solve's own stage
+        # records: keys appear only when the pool actually had to heal
+        # one of them, so fault-free stats are unchanged.
+        tally = self._tally
         record_recovery(
             stats.extra,
-            restarts=recovery["worker_restarts"],
-            retries=recovery["retries"],
-            degraded=recovery["fallbacks"],
+            restarts=tally["worker_restarts"],
+            retries=tally["retries"],
+            degraded=tally["fallbacks"],
         )
         stage_trace = [] if self.trace is not None else None
         drawn_before = stats.samples_drawn

@@ -26,7 +26,10 @@ comment.  :class:`ExecutionContext` consolidates all of it:
 * **the batched front door** — :meth:`solve_many` multiplexes a list of
   heterogeneous :class:`~repro.runtime.requests.SolveRequest`\\ s over
   one shared compiled graph, with results bit-identical to solving the
-  requests one by one.
+  requests one by one.  It is :meth:`submit` then :meth:`settle`; a
+  caller that keeps the pool busy (the serving daemon) submits as
+  requests arrive and settles each chunk as its reply lands
+  (:meth:`settle_any`).
 
 Construction stays cheap: a context created and never used for parallel
 work starts no processes.  Solvers constructed *without* a context get a
@@ -44,6 +47,7 @@ import os
 import time
 import traceback
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.algorithms.base import ContextSolver, RngLike, Solver, SolveResult
@@ -59,7 +63,27 @@ from repro.runtime.router import choose_mode, validate_mode
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parallel.pool import ResidentPool
 
-__all__ = ["ExecutionContext"]
+__all__ = ["ExecutionContext", "SolveTicket"]
+
+
+@dataclass(eq=False)
+class SolveTicket:
+    """One request handed to :meth:`ExecutionContext.submit`.
+
+    ``route`` is the mode it runs in (``"serial"`` / ``"solve"`` /
+    ``"stage"``); ``record`` is the pool chunk carrying a
+    ``"solve"``-routed request.  Once settled, exactly one of
+    ``result`` and ``failure`` (a traceback string or a
+    :class:`~repro.exceptions.RequestFailure`) is set.
+    """
+
+    index: int
+    request: SolveRequest
+    route: str
+    deadline: Optional[float] = None
+    record: Optional[dict] = None
+    result: Optional[SolveResult] = None
+    failure: object = None
 
 
 class ExecutionContext:
@@ -124,6 +148,8 @@ class ExecutionContext:
         self._pool = pool
         self._owns_pool = pool is None
         self._mode_force: Optional[str] = None
+        #: Tickets of the chunks in flight, keyed by record ``id``.
+        self._chunked: "dict[int, list[SolveTicket]]" = {}
         self._refs = 1
 
     # ------------------------------------------------------------------
@@ -353,6 +379,186 @@ class ExecutionContext:
                 instance.context = previous
 
     # ------------------------------------------------------------------
+    def route(
+        self,
+        request: SolveRequest,
+        batch_size: int = 1,
+        mode: Optional[str] = None,
+        budget: Optional[int] = None,
+    ) -> str:
+        """The mode ``request`` runs in when dispatched among ``batch_size``.
+
+        :meth:`resolve_mode` at ``budget`` (default: the request's own),
+        except that a ``"stage"`` route the solver cannot shard
+        (reference engine, no shard hooks) becomes ``"solve"``: a
+        chunk is the only parallelism it has.  :meth:`submit` routes
+        through here, so a caller planning a budget (the serving
+        daemon's SLO planner) sees the route the request will take.
+        """
+        choice = self.resolve_mode(
+            request.problem,
+            request.budget if budget is None else budget,
+            batch_size=batch_size,
+            mode=mode,
+            engine=request.solver_kwargs.get("engine"),
+        )
+        if choice == "stage" and not self._stage_capable(
+            request.solver, request.solver_kwargs
+        ):
+            choice = "solve"
+        return choice
+
+    def submit(
+        self, requests, mode: Optional[str] = None
+    ) -> "list[SolveTicket]":
+        """Route ``requests`` and ship the pool-routed ones; the first half
+        of :meth:`solve_many`.
+
+        Returns one :class:`SolveTicket` per request, in order.  Requests
+        routed ``"solve"`` leave at once as chunks, each on the
+        least-loaded pool worker (:meth:`~repro.parallel.pool.
+        ResidentPool.submit`; the ones a worker gets from one call share
+        a chunk).  Stage- and serial-routed requests wait for
+        :meth:`settle`, which runs them here.  Each request's
+        ``deadline_s`` becomes an absolute instant now.
+        """
+        import random as _random
+
+        requests = [self._coerce_request(r) for r in requests]
+        shared_rng = any(isinstance(r.rng, _random.Random) for r in requests)
+        start = time.monotonic()
+        tickets = []
+        for index, request in enumerate(requests):
+            route = self.route(request, len(requests), mode)
+            if shared_rng:
+                # Stateful generators must consume their streams in
+                # request order: the whole call runs inline.
+                route = "serial"
+            deadline = None
+            if request.deadline_s is not None:
+                deadline = start + request.deadline_s
+            tickets.append(SolveTicket(index, request, route, deadline))
+        chunked = [ticket for ticket in tickets if ticket.route == "solve"]
+        if not chunked:
+            return tickets
+        # Distinct graphs are frozen and detached at most once per call
+        # (lazily: a call with no compiled chunk never pays the detach);
+        # detached clones share the frozen arrays, and the resident pool
+        # pickles them only into workers that do not hold them yet.
+        detached_graphs: dict[int, object] = {}
+        graphs: dict = {}  # payload token -> detached CompiledGraph
+        entries = []
+        for ticket in chunked:
+            request = ticket.request
+            kwargs = dict(request.solver_kwargs)
+            engine = self._dispatch_engine(request.solver, kwargs)
+            problem = request.problem
+            if engine in ("compiled", "vector"):
+                detached = detached_graphs.get(id(problem.graph))
+                if detached is None:
+                    detached = problem.compiled().detach()
+                    detached_graphs[id(problem.graph)] = detached
+                payload = problem.payload_spec()
+                graphs[payload["token"]] = detached
+            else:
+                # Reference / engine-less solvers have no resident
+                # representation: the dict problem ships per request.
+                payload = problem
+            entries.append(
+                {
+                    "index": ticket.index,
+                    "problem": payload,
+                    "solver": request.solver,
+                    "kwargs": kwargs,
+                    "seed": request.rng,
+                    "deadline": ticket.deadline,
+                }
+            )
+        for record in self.pool().submit(entries, graphs):
+            owned = [tickets[entry["index"]] for entry in record["entries"]]
+            for ticket in owned:
+                ticket.record = record
+            self._chunked[id(record)] = owned
+        return tickets
+
+    def settle(self, tickets: "list[SolveTicket]") -> None:
+        """Run or wait for every ticket; the second half of :meth:`solve_many`.
+
+        Stage-routed requests run first, then serial-routed ones, each
+        in request order, while the chunks are in flight; a request
+        whose deadline passed before its turn fails as
+        ``kind="deadline"``.  Then each chunk's reply is awaited.  A
+        failure of any request lands on its ticket and never stops the
+        others.
+        """
+        parent = [t for t in tickets if t.route == "stage"] + [
+            t for t in tickets if t.route == "serial"
+        ]
+        for ticket in parent:
+            request = ticket.request
+            ticket.failure = self._expired_failure(request, ticket.deadline)
+            if ticket.failure is not None:
+                continue
+            try:
+                ticket.result = self._solve_request(request, ticket.route)
+            except Exception:
+                ticket.failure = traceback.format_exc()
+        records = {id(t.record): t.record for t in tickets if t.record}
+        records = list(records.values())
+        if records:
+            self._pool.collect(records)
+            for record in records:
+                self._settle_record(record)
+
+    def settle_any(self, wake=None) -> "list[SolveTicket]":
+        """Settle the next chunk replies to arrive; returns their tickets.
+
+        Waits on every worker at once (:meth:`~repro.parallel.pool.
+        ResidentPool.settle_any`) and returns the tickets of the chunks
+        that finished, in no fixed order — empty once ``wake`` is
+        readable or when no chunk is in flight.
+        """
+        if self._pool is None:
+            return []
+        return [
+            ticket
+            for record in self._pool.settle_any(wake)
+            for ticket in self._settle_record(record)
+        ]
+
+    def _settle_record(self, record: dict) -> "list[SolveTicket]":
+        """Move a finished chunk's outcomes onto its tickets.
+
+        Each result reports its own chunk's shipping and recovery
+        (:mod:`repro.parallel.residency` keys): what the pool sent ahead
+        of and with that chunk, and what it survived.
+        """
+        tickets = self._chunked.pop(id(record))
+        by_index = {ticket.index: ticket for ticket in tickets}
+        tally = record["tally"]
+        for status, index, payload in record["outcomes"]:
+            ticket = by_index[index]
+            if status != "ok":
+                ticket.failure = payload
+                continue
+            ticket.result = payload
+            extra = payload.stats.extra
+            record_shipping(
+                extra,
+                shipped=tally["installs"] > 0,
+                payload_bytes=tally["payload_bytes"],
+                installs=tally["installs"],
+                patch_bytes=tally["patch_bytes"],
+            )
+            record_recovery(
+                extra,
+                restarts=tally["worker_restarts"],
+                retries=tally["retries"],
+                degraded=tally["fallbacks"],
+                deadline_missed=tally["deadline_missed"],
+            )
+        return tickets
+
     def solve_many(
         self,
         requests,
@@ -363,17 +569,19 @@ class ExecutionContext:
         ``requests`` is a list of :class:`~repro.runtime.requests.
         SolveRequest` (or plain ``(problem, solver-name)``-style dicts
         are *not* accepted here — build them with
-        :func:`~repro.runtime.requests.request_from_spec`).  Routing is
-        per request: large solves are stage-sharded across the resident
+        :func:`~repro.runtime.requests.request_from_spec`).  This is
+        :meth:`submit` followed by :meth:`settle`.  Routing is per
+        request: large solves are stage-sharded across the resident
         pool, pool-worthy ones multiplex onto it as chunks — each inside
-        one worker as a plain serial solve — while requests
-        the router judges too small to win their dispatch round trip
-        run inline in the parent (on one CPU, everything does).  Compiled-engine requests ship only their O(1)
-        payload spec once a worker holds the graph's detached arrays,
-        so a serving session pickles each graph at most once per
-        (graph, worker) pair; every multiplexed result records the
-        batch's shipping in ``stats.extra`` (``graph_shipped`` /
-        ``graph_installs`` / ``batch_payload_bytes``).
+        one worker as a plain serial solve — while requests the router
+        judges too small to win their dispatch round trip run inline in
+        the parent (on one CPU, everything does).  Compiled-engine
+        requests ship only their O(1) payload spec once a worker holds
+        the graph's detached arrays, so a serving session pickles each
+        graph at most once per (graph, worker) pair; every multiplexed
+        result records its chunk's shipping in ``stats.extra``
+        (``graph_shipped`` / ``graph_installs`` /
+        ``batch_payload_bytes``).
 
         Results come back in request order and are bit-identical to
         calling :meth:`solve` once per request (stats excepted only in
@@ -392,157 +600,14 @@ class ExecutionContext:
         :attr:`~repro.runtime.requests.SolveRequest.deadline_s` expires
         mid-dispatch is cancelled and fails with a
         ``kind="deadline"`` :class:`~repro.exceptions.RequestFailure`.
-        Recovery events surface in the surviving results'
-        ``stats.extra`` (``worker_restarts`` / ``chunk_retries`` /
-        ``degraded_to_serial`` / ``deadline_missed``), written only
-        when non-zero.
+        Recovery events surface in the surviving results' ``stats.extra``
+        (``worker_restarts`` / ``chunk_retries`` / ``degraded_to_serial``
+        / ``deadline_missed``), written only when non-zero and only for
+        the chunk or stage shards that carried the result.
         """
-        requests = [self._coerce_request(r) for r in requests]
-        if not requests:
-            return []
-        import random as _random
-
-        shared_rng = any(isinstance(r.rng, _random.Random) for r in requests)
-        batch = len(requests)
-        # Per-request deadlines, as absolute monotonic instants from the
-        # moment the batch starts executing.
-        batch_start = time.monotonic()
-        deadlines = [
-            batch_start + r.deadline_s if r.deadline_s is not None else None
-            for r in requests
-        ]
-        predispatch_missed = 0
-        routed = []
-        for request in requests:
-            route = self.resolve_mode(
-                request.problem,
-                request.budget,
-                batch_size=batch,
-                mode=mode,
-                engine=request.solver_kwargs.get("engine"),
-            )
-            if shared_rng:
-                # Stateful generators must consume their streams in
-                # request order: the whole batch runs inline.
-                route = "serial"
-            elif route == "stage" and not self._stage_capable(
-                request.solver, request.solver_kwargs
-            ):
-                # Large but unshardable (reference engine, no shard
-                # hooks): multiplexing is the only parallelism it has.
-                route = "solve"
-            routed.append(route)
-        failures: dict[int, str] = {}
-        results: list[Optional[SolveResult]] = [None] * batch
-
-        # Distinct graphs are frozen and detached at most once (lazily —
-        # an all-stage or all-reference batch never pays the detach);
-        # detached clones share the frozen arrays, and the resident pool
-        # pickles them only into workers that do not hold them yet.
-        detached_graphs: dict[int, object] = {}
-        graphs: dict = {}  # payload token -> detached CompiledGraph
-        entries = []  # multiplexed requests, as chunk entry dicts
-        stage_indices = []
-        inline_indices = []
-        for index, (request, route) in enumerate(zip(requests, routed)):
-            if route == "stage":
-                stage_indices.append(index)
-                continue
-            if route == "serial":
-                # The router judged this request too small (or too
-                # opaque — budget-less) to win its dispatch round trip:
-                # honour that and solve it in-parent while the chunks
-                # are in flight, instead of multiplexing it anyway.
-                inline_indices.append(index)
-                continue
-            kwargs = dict(request.solver_kwargs)
-            engine = self._dispatch_engine(request.solver, kwargs)
-            problem = request.problem
-            if engine in ("compiled", "vector"):
-                detached = detached_graphs.get(id(problem.graph))
-                if detached is None:
-                    detached = problem.compiled().detach()
-                    detached_graphs[id(problem.graph)] = detached
-                payload = problem.payload_spec()
-                graphs[payload["token"]] = detached
-            else:
-                # Reference / engine-less solvers have no resident
-                # representation: the dict problem ships per request.
-                payload = problem
-            entries.append(
-                {
-                    "index": index,
-                    "problem": payload,
-                    "solver": request.solver,
-                    "kwargs": kwargs,
-                    "seed": request.rng,
-                    "deadline": deadlines[index],
-                }
-            )
-
-        dispatched = bool(entries)
-        if dispatched:
-            pool = self.pool()
-            before = pool.counters()
-            workers = max(
-                1, min(self.effective_workers, pool.workers, len(entries))
-            )
-            # Round-robin chunking: one chunk per worker; each graph is
-            # installed only where the worker's residency ledger says it
-            # is missing, then referenced by token.
-            for worker in range(workers):
-                pool.ship(worker, entries[worker::workers], graphs)
-
-        # Large solves are stage-sharded, then serial-routed ones run
-        # inline (in request order), while the chunks are in flight; the
-        # pool settles each reply on its own record, so stage waits never
-        # consume a chunk's reply.  A failure here must not abandon the
-        # in-flight chunks (they are collected below regardless).
-        for index in stage_indices + inline_indices:
-            expired = self._expired_failure(requests[index], deadlines[index])
-            if expired is not None:
-                failures[index] = expired
-                predispatch_missed += 1
-                continue
-            try:
-                results[index] = self._solve_request(
-                    requests[index], routed[index]
-                )
-            except Exception:
-                failures[index] = traceback.format_exc()
-
-        if dispatched:
-            for chunk_outcomes in pool.collect():
-                for status, index, payload in chunk_outcomes:
-                    if status == "ok":
-                        results[index] = payload
-                    else:
-                        failures[index] = payload
-            # Per-batch shipping and recovery accounting on every
-            # multiplexed result, through the shared residency module
-            # (the stage path records the same keys from its executor).
-            # Recovery keys appear only when something actually happened,
-            # so fault-free stats are unchanged.
-            window = pool.counters() - before
-            for entry in entries:
-                result = results[entry["index"]]
-                if result is not None:
-                    record_shipping(
-                        result.stats.extra,
-                        shipped=window["installs"] > 0,
-                        payload_bytes=window["payload_bytes"],
-                        installs=window["installs"],
-                        patch_bytes=window["patch_bytes"],
-                    )
-                    record_recovery(
-                        result.stats.extra,
-                        restarts=window["worker_restarts"],
-                        retries=window["retries"],
-                        degraded=window["fallbacks"],
-                        deadline_missed=window["deadline_missed"]
-                        + predispatch_missed,
-                    )
-        return self._finish_batch(results, failures)
+        tickets = self.submit(requests, mode=mode)
+        self.settle(tickets)
+        return self._finish_batch(tickets)
 
     @staticmethod
     def _expired_failure(
@@ -564,10 +629,14 @@ class ExecutionContext:
         )
 
     @staticmethod
-    def _finish_batch(
-        results: "list[Optional[SolveResult]]", failures: "dict[int, str]"
-    ) -> list[SolveResult]:
+    def _finish_batch(tickets: "list[SolveTicket]") -> list[SolveResult]:
         """Return a fully-solved batch, or raise after it has drained."""
+        results = [ticket.result for ticket in tickets]
+        failures = {
+            ticket.index: ticket.failure
+            for ticket in tickets
+            if ticket.failure is not None
+        }
         if failures:
             failed = sorted(failures)
             for result in results:
@@ -618,6 +687,7 @@ class ExecutionContext:
         pool also clears :attr:`degraded`: a fresh pool is trusted
         again."""
         pool, self._pool = self._pool, None
+        self._chunked.clear()
         if pool is not None and self._owns_pool:
             pool.close()
         self._owns_pool = True

@@ -236,11 +236,7 @@ def budget_for_slo(
     n: int,
     slo_s: float,
     work_rate,
-    batch_size: int = 1,
-    workers: "int | None" = None,
-    cpu_count: "int | None" = None,
-    healthy: bool = True,
-    engine: str = "compiled",
+    route,
     min_budget: int = MIN_SLO_BUDGET,
     max_budget: int = MAX_SLO_BUDGET,
     headroom: float = SLO_HEADROOM,
@@ -249,17 +245,20 @@ def budget_for_slo(
 
     Parameters
     ----------
-    n, batch_size, workers, cpu_count, healthy, engine:
-        As in :func:`choose_mode` — every candidate budget is routed
-        through it, so the promise accounts for the mode the request
-        would actually run in (a degraded runtime plans against its
-        serial work rate, not the pool's).
+    n:
+        Number of graph nodes the request solves over.
     slo_s:
         The request's end-to-end latency objective in seconds.
     work_rate:
         ``callable(mode) -> float``: observed work units (``n × T``)
         cleared per second of solve wall clock when running in
         ``mode``.  The serving layer passes its online calibrator.
+    route:
+        ``callable(budget) -> mode``: the mode the request would run in
+        at that budget.  The serving layer passes its dispatcher's own
+        routing, so the promise accounts for the mode the request will
+        actually run in (a degraded runtime plans against its serial
+        work rate, not the pool's).
     min_budget / max_budget / headroom:
         Planner bounds (see the module constants).
 
@@ -275,15 +274,7 @@ def budget_for_slo(
         raise ValueError(f"headroom must be in (0, 1], got {headroom}")
 
     def _candidate(budget: int) -> "tuple[int, str, float]":
-        mode = choose_mode(
-            n=n,
-            budget=budget,
-            batch_size=batch_size,
-            workers=workers,
-            cpu_count=cpu_count,
-            healthy=healthy,
-            engine=engine,
-        )
+        mode = route(budget)
         rate = float(work_rate(mode))
         if rate <= 0:
             raise ValueError(f"work_rate({mode!r}) must be positive")

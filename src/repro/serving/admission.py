@@ -163,8 +163,15 @@ class AdmissionController:
         return None
 
     # ------------------------------------------------------------------
+    def dispatchable(self, held=frozenset()) -> bool:
+        """Is a request of a tenant outside ``held`` waiting?"""
+        return any(entry.tenant not in held for entry in self._queue)
+
     def take_batch(
-        self, max_size: int, now: Optional[float] = None
+        self,
+        max_size: int,
+        now: Optional[float] = None,
+        held=frozenset(),
     ) -> "tuple[list[PendingRequest], list[tuple[PendingRequest, RequestFailure]]]":
         """Pop the next dispatch batch, rejecting stale entries first.
 
@@ -172,6 +179,7 @@ class AdmissionController:
         entries in admission order, plus every entry swept out at this
         boundary — queue patience exceeded (``kind="queue_timeout"``)
         or its own deadline budget exhausted (``kind="deadline"``).
+        Entries of ``held`` tenants stay queued, in order, unless swept.
         Rejected entries are settled here (tenant charge released);
         batch entries stay charged until :meth:`settle`.
         """
@@ -179,6 +187,7 @@ class AdmissionController:
             now = time.monotonic()
         batch: "list[PendingRequest]" = []
         rejected: "list[tuple[PendingRequest, RequestFailure]]" = []
+        kept: "list[PendingRequest]" = []
         while self._queue and len(batch) < max_size:
             entry = self._queue.pop(0)
             waited = entry.queue_wait(now)
@@ -204,7 +213,8 @@ class AdmissionController:
                 self._settle_tenant(entry)
                 rejected.append((entry, failure))
                 continue
-            batch.append(entry)
+            (kept if entry.tenant in held else batch).append(entry)
+        self._queue[:0] = kept
         return batch, rejected
 
     # ------------------------------------------------------------------

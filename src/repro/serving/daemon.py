@@ -16,14 +16,18 @@ stdlib ``asyncio`` server on top of the self-healing runtime:
   ``deltas`` list (``["add_node", ...]`` / ``["add_edge", ...]`` /
   ``["set_tightness", ...]`` / ``["remove_edge", ...]`` records, see
   :meth:`~repro.graph.compiled.CompiledGraph.apply_deltas`): the
-  tenant's graph is patched **between batches at the dispatch
-  boundary** — never under a solve in flight; the mutations queued
-  there apply in arrival order in one worker-thread hop — and because
-  the patch preserves the payload token and bumps the index
-  generation, warm pool workers are refreshed by a sparse
-  ``graph_patch`` record on the next batch instead of a full
-  re-install.  The same port answers plain HTTP ``GET /healthz`` /
-  ``/readyz`` / ``/metrics`` for probes.
+  tenant's graph is patched **once none of its solves is in flight** —
+  a per-tenant barrier: while its mutations wait, that tenant's queued
+  solves are held (and then see the mutation), other tenants keep
+  flowing, and the tenant's queued mutations apply together in arrival
+  order in one worker-thread hop.  The barrier keeps every record in
+  flight on one graph generation, so a record re-sent after a worker
+  crash runs on the arrays it shipped against.  Because the patch
+  preserves the payload token and bumps the index generation, warm
+  pool workers are refreshed by a sparse ``graph_patch`` record ahead
+  of the tenant's next solve instead of a full re-install.  The same
+  port answers plain HTTP ``GET /healthz`` / ``/readyz`` /
+  ``/metrics`` for probes.
 
 * **admission control** (:mod:`repro.serving.admission`) — a bounded
   queue with typed ``kind="shed"`` / ``kind="queue_timeout"``
@@ -40,12 +44,18 @@ stdlib ``asyncio`` server on top of the self-healing runtime:
   ``slo_promised_s`` / ``slo_achieved_s``) into the reply's ``extra``.
   Every completed solve — SLO-routed or not — feeds the calibration.
 
-* **dispatch** — one batching loop drains the queue into
-  ``context.solve_many`` on a worker thread (the context is not
-  thread-safe; the single loop serializes it), so concurrent tenants'
-  requests coalesce into resident-pool batches: each graph's arrays
-  ship to each pool worker at most once per session, however many
-  tenants multiplex over it and whichever parallel mode serves them.
+* **continuous dispatch** — one loop owns the context (it is not
+  thread-safe; every call runs on a worker thread, one at a time).
+  Whenever a pool worker has a free slot (at most
+  :data:`~repro.parallel.pool.MAX_INFLIGHT_PER_WORKER` requests each)
+  it takes admitted requests — one *dispatch round* — and submits each
+  to the least-loaded worker (``context.submit``); each reply settles
+  its request the moment it arrives (``context.settle_any``).  While
+  the pool is healthy in ``auto`` mode the parent process runs no
+  chunk-shaped solve: it does I/O, admission and scheduling, and
+  drives the shards of stage-routed solves.  Each graph's arrays ship
+  to each pool worker at most once per session, however many tenants
+  multiplex over it and whichever parallel mode serves them.
 
 * **self-healing + graceful degradation** — worker crashes, retries,
   and deadlines are the runtime's problem (PR 6) and stay invisible in
@@ -60,9 +70,9 @@ stdlib ``asyncio`` server on top of the self-healing runtime:
 
 Chaos plans (:class:`~repro.parallel.faults.FaultPlan`) target the
 daemon end to end: worker kills/drops/delays are installed on the
-context's pool and fire underneath served batches — chunk-routed and
-stage-routed alike — and queue ``stalls``
-hold the dispatch loop to force deterministic shed/timeout scenarios —
+context's pool and fire underneath served requests — chunk-routed and
+stage-routed alike — and queue ``stalls`` hold the dispatch loop before
+a round to force deterministic shed/timeout scenarios —
 the chaos suite in ``tests/test_serving.py`` proves seeded results
 served through the daemon are bit-identical to direct ``solve_many``.
 """
@@ -77,9 +87,10 @@ import weakref
 from collections import deque
 from typing import Optional
 
-from repro.exceptions import BatchExecutionError, ReproError, RequestFailure
+from repro.exceptions import ReproError, RequestFailure
 from repro.graph.io import resolve_graph_source
 from repro.graph.social_graph import SocialGraph
+from repro.parallel.pool import MAX_INFLIGHT_PER_WORKER
 from repro.runtime import ExecutionContext, request_from_spec, valid_spec_keys
 from repro.serving.admission import AdmissionController, PendingRequest
 from repro.serving.slo import LatencyCalibrator
@@ -179,10 +190,6 @@ class ServingDaemon:
     max_queue / max_inflight_per_tenant / queue_timeout_s:
         Admission knobs (:class:`~repro.serving.admission.
         AdmissionController`).
-    batch_max:
-        Most requests one dispatch batch may carry.  Larger batches
-        amortize dispatch; smaller ones bound how long a late arrival
-        waits behind its batch-mates.
     default_deadline_s:
         Deadline applied to requests that do not carry their own
         ``deadline_s``.
@@ -191,7 +198,8 @@ class ServingDaemon:
     fault_plan:
         Test-only chaos hook — installed on the context's pool (worker
         kills/drops/delays) and consulted by the dispatch loop for
-        queue stalls.  Production code must never set it.
+        queue stalls before each dispatch round.  Production code must
+        never set it.
     """
 
     def __init__(
@@ -206,7 +214,6 @@ class ServingDaemon:
         max_queue: int = 64,
         max_inflight_per_tenant: Optional[int] = None,
         queue_timeout_s: Optional[float] = None,
-        batch_max: int = 8,
         default_deadline_s: Optional[float] = None,
         calibrator: Optional[LatencyCalibrator] = None,
         fault_plan=None,
@@ -227,13 +234,10 @@ class ServingDaemon:
             tenant: resolve_graph_source(graph)
             for tenant, graph in dict(graphs).items()
         }
-        if batch_max < 1:
-            raise ValueError(f"batch_max must be >= 1, got {batch_max}")
         if default_deadline_s is not None and default_deadline_s <= 0:
             raise ValueError(
                 f"default_deadline_s must be positive, got {default_deadline_s}"
             )
-        self.batch_max = batch_max
         self.default_deadline_s = default_deadline_s
         self.admission = AdmissionController(
             max_queue=max_queue,
@@ -254,19 +258,29 @@ class ServingDaemon:
                 cpu_count=cpu_count,
             )
             self._owns_context = True
-        #: Daemon-level counters (admission keeps its own).
+        #: Daemon-level counters (admission keeps its own);
+        #: ``batches`` counts dispatch rounds that took work.
         self.counters = {"invalid": 0, "batches": 0, "connections": 0}
         self._server: Optional[asyncio.base_events.Server] = None
         self._work = asyncio.Event()
         self._dispatcher: Optional[asyncio.Task] = None
         self._conn_tasks: "set[asyncio.Task]" = set()
-        #: ``kind="mutate"`` requests waiting for the next dispatch
-        #: boundary (the batching loop is the tenant graphs' only
-        #: writer, so patches never land under a solve in flight).
+        #: ``kind="mutate"`` requests, in arrival order, waiting for
+        #: their graph to have no solve in flight (the dispatch loop is
+        #: the tenant graphs' only writer).
         self._mutations: "deque[PendingRequest]" = deque()
+        #: Pool-routed solves awaiting their replies: ticket -> entry.
+        self._inflight: dict = {}
+        #: Requests the pool takes at once; rounds never take more.
+        self._slots = MAX_INFLIGHT_PER_WORKER * max(
+            1, self._context.effective_workers
+        )
+        #: Self-pipe that cuts a blocked wait for replies short when an
+        #: arrival can be dispatched at once.
+        self._wake_fds: "tuple[int, int] | None" = None
+        self._settling = False
         self._draining = False
         self._started = False
-        self._batch_seq = 0
         self._tracked_fds: "set[int]" = set()
         self.address: "tuple[str, int] | None" = None
 
@@ -309,6 +323,10 @@ class ServingDaemon:
             self._tracked_fds.add(sock.fileno())
         bound = self._server.sockets[0].getsockname()
         self.address = (bound[0], bound[1])
+        self._wake_fds = os.pipe()
+        for fd in self._wake_fds:
+            os.set_blocking(fd, False)
+        # No await since start_server: no connection has run yet.
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
         self._started = True
         return self.address
@@ -335,6 +353,8 @@ class ServingDaemon:
         self._work.set()  # wake the dispatcher so it can observe draining
         if self._dispatcher is not None:
             await self._dispatcher
+        for fd in self._wake_fds:
+            os.close(fd)
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         if self._owns_context:
@@ -451,6 +471,17 @@ class ServingDaemon:
             )
             return
         self._work.set()
+        if self._settling and (
+            id(self.graphs[entry.tenant]) not in self._busy_graphs()
+            if spec.get("kind") == "mutate"
+            else len(self._inflight) < self._slots
+        ):
+            # The dispatcher is blocked on replies, yet could act on
+            # this arrival now: a free slot, or an idle graph to patch.
+            try:
+                os.write(self._wake_fds[1], b"\0")
+            except BlockingIOError:
+                pass  # a full pipe already wakes it
 
         async def _deliver() -> None:
             # Shield the future: it is shared with the dispatch loop,
@@ -523,9 +554,9 @@ class ServingDaemon:
         return rejection if rejection is not None else entry
 
     def _admit_mutation(self, spec: dict, request_id):
-        """Validate one ``kind="mutate"`` line and queue it for the next
-        dispatch boundary; returns the pending entry or a typed
-        rejection (draining daemons shed mutations like solves)."""
+        """Validate one ``kind="mutate"`` line and queue it until its
+        graph has no solve in flight; returns the pending entry or a
+        typed rejection (draining daemons shed mutations like solves)."""
         spec = dict(spec)
         spec.pop("id", None)
         spec.pop("kind", None)
@@ -574,53 +605,97 @@ class ServingDaemon:
     # Dispatch
     # ------------------------------------------------------------------
     async def _dispatch_loop(self) -> None:
-        while not (
-            self._draining
-            and self.admission.depth == 0
-            and not self._mutations
-        ):
+        """Apply ready mutations, fill free slots, settle replies."""
+        while True:
+            ready = self._ready_mutations()
+            if ready:
+                payloads = await asyncio.to_thread(
+                    self._apply_mutations, ready
+                )
+                for entry, payload in zip(ready, payloads):
+                    self._settle_future(entry, payload)
+                continue
+            free = len(self._inflight) < self._slots
+            if free and self.admission.dispatchable(self._held_tenants()):
+                await self._dispatch_round()
+                continue
+            if self._inflight:
+                await self._hop(lambda: ({}, self._settle_next()))
+                continue
+            idle = not (self.admission.depth or self._mutations)
+            if self._draining and idle:
+                return
             await self._work.wait()
             self._work.clear()
-            while self.admission.depth or self._mutations:
-                # Pending graph mutations apply strictly *between*
-                # solve batches — this loop is the tenant graphs' only
-                # writer, so a patch never lands under a solve in
-                # flight, and the very next batch already plans sparse
-                # ``graph_patch`` records against the new generation.
-                while self._mutations:
-                    entries = list(self._mutations)
-                    self._mutations.clear()
-                    payloads = await asyncio.to_thread(
-                        self._apply_mutations, entries
-                    )
-                    for entry, payload in zip(entries, payloads):
-                        self._settle_future(entry, payload)
-                if not self.admission.depth:
-                    continue
-                self._batch_seq += 1
-                if self.fault_plan is not None:
-                    hold = self.fault_plan.queue_stall(self._batch_seq)
-                    if hold:
-                        await asyncio.sleep(hold)
-                batch, rejected = self.admission.take_batch(self.batch_max)
-                for entry, failure in rejected:
-                    self._settle_future(
-                        entry,
-                        self._error_payload(
-                            entry.id,
-                            failure.kind,
-                            str(failure),
-                            retries=failure.retries,
-                        ),
-                    )
-                if not batch:
-                    continue
-                self.counters["batches"] += 1
-                outcomes = await asyncio.to_thread(self._solve_batch, batch)
-                for entry, payload in zip(batch, outcomes):
-                    ok = payload.get("ok", False)
-                    self.admission.settle(entry, ok=ok)
-                    self._settle_future(entry, payload)
+
+    def _busy_graphs(self) -> "set[int]":
+        """``id`` of each tenant graph with a solve in flight (tenants
+        registered over one graph object share its barrier)."""
+        return {id(self.graphs[e.tenant]) for e in self._inflight.values()}
+
+    def _ready_mutations(self) -> "list[PendingRequest]":
+        """Dequeue the mutations whose graph has no solve in flight."""
+        busy = self._busy_graphs()
+        ready, waiting = [], deque()
+        for entry in self._mutations:
+            graph = id(self.graphs[entry.tenant])
+            (waiting if graph in busy else ready).append(entry)
+        self._mutations = waiting
+        return ready
+
+    def _held_tenants(self) -> "set[str]":
+        """Tenants whose graph has a mutation waiting: their solves wait
+        behind it, so they see it."""
+        pending = {id(self.graphs[entry.tenant]) for entry in self._mutations}
+        return {t for t, graph in self.graphs.items() if id(graph) in pending}
+
+    async def _dispatch_round(self) -> None:
+        """Take admitted requests into the free slots and submit them."""
+        if self.fault_plan is not None:
+            hold = self.fault_plan.queue_stall(self.counters["batches"] + 1)
+            if hold:
+                await asyncio.sleep(hold)
+        batch, rejected = self.admission.take_batch(
+            self._slots - len(self._inflight), held=self._held_tenants()
+        )
+        for entry, failure in rejected:
+            self._settle_future(
+                entry,
+                self._error_payload(
+                    entry.id,
+                    failure.kind,
+                    str(failure),
+                    retries=failure.retries,
+                ),
+            )
+        if batch:
+            self.counters["batches"] += 1
+            await self._hop(self._submit, batch)
+
+    async def _hop(self, step, *args) -> None:
+        """Run one dispatcher step on a worker thread, then answer what
+        it settled.
+
+        ``step`` returns ``(pending, replies)``: the requests it left in
+        pool workers (ticket -> entry) and ``(ticket, entry, payload)``
+        for each answered one.  An arrival the dispatcher could act on
+        now writes the wake pipe, cutting a wait for replies short.
+        """
+        self._settling = True
+        try:
+            pending, replies = await asyncio.to_thread(step, *args)
+        finally:
+            self._settling = False
+            try:
+                while os.read(self._wake_fds[0], 64):
+                    pass
+            except BlockingIOError:
+                pass
+        self._inflight.update(pending)
+        for ticket, entry, payload in replies:
+            self._inflight.pop(ticket, None)
+            self.admission.settle(entry, ok=payload.get("ok", False))
+            self._settle_future(entry, payload)
 
     @staticmethod
     def _settle_future(entry, payload: dict) -> None:
@@ -635,16 +710,36 @@ class ServingDaemon:
         if not entry.future.done():
             entry.future.set_result(payload)
 
-    def _solve_batch(self, batch) -> "list[dict]":
-        """Solve one admitted batch on the context (worker thread).
+    def _route(self, request, budget: Optional[int] = None) -> str:
+        """The mode the dispatcher runs ``request`` in at ``budget``.
 
-        Returns one reply payload per entry, in batch order.  Never
-        raises: a failure of any shape becomes that entry's typed error
-        payload, because a dropped reply is the one outcome the daemon
-        must not produce.
+        The context's route for a request on its own, except that a
+        healthy pool in ``auto`` mode takes every chunk-shaped solve:
+        the parent's time is every client's, so it runs none itself.
+        """
+        context = self._context
+        route = context.route(request, budget=budget)
+        if (
+            route == "serial"
+            and context.mode == "auto"
+            and context.effective_workers > 1
+            and not context.degraded
+        ):
+            return "solve"
+        return route
+
+    def _submit(self, batch) -> "tuple[dict, list]":
+        """Submit one round on the context (worker thread).
+
+        Stage-routed solves, whose shards this thread drives, and
+        serial ones (a degraded pool, or no pool) run here; the rest go
+        to pool workers, and the step then waits for the next replies,
+        as :meth:`_settle_next` does.  Never raises: a failure of any
+        shape becomes that entry's typed error payload, because a
+        dropped reply is the one outcome the daemon must not produce.
         """
         now = time.monotonic()
-        requests = []
+        pending, parent, replies = {}, [], []
         for entry in batch:
             request = entry.extra["request"]
             if entry.slo_s is not None:
@@ -654,76 +749,97 @@ class ServingDaemon:
                     engine=request.solver_kwargs.get(
                         "engine", self._context.engine
                     ),
-                    batch_size=len(batch),
-                    workers=self._context.workers,
-                    cpu_count=self._context.cpu_count,
-                    healthy=not self._context.degraded,
+                    route=lambda budget: self._route(request, budget),
                 )
                 request.solver_kwargs["budget"] = plan.budget
                 entry.extra["plan"] = plan
             if entry.deadline_at is not None:
-                # Absolute deadline → the remaining budget, as of the
-                # moment the batch starts (solve_many re-anchors there).
+                # Absolute deadline → the budget left as of submission.
                 request.deadline_s = max(entry.deadline_at - now, 1e-9)
-            requests.append(request)
-        failures: "dict[int, RequestFailure]" = {}
-        try:
-            results = self._context.solve_many(requests)
-        except BatchExecutionError as error:
-            results = error.results
-            failures = error.failures
-        except Exception as error:  # defensive: reply to everyone
-            message = f"{type(error).__name__}: {error}"
-            results = [None] * len(batch)
-            failures = {
-                index: RequestFailure(message, kind="solver_error")
-                for index in range(len(batch))
-            }
-        done = time.monotonic()
-        payloads = []
-        for index, (entry, result) in enumerate(zip(batch, results)):
-            if result is None:
-                failure = failures.get(
-                    index, RequestFailure("request produced no result")
+            try:
+                (ticket,) = self._context.submit(
+                    [request], mode=self._route(request)
                 )
-                payloads.append(
-                    self._error_payload(
-                        entry.id,
-                        getattr(failure, "kind", "solver_error"),
-                        str(failure).strip().splitlines()[-1]
-                        if str(failure).strip()
-                        else "",
-                        retries=getattr(failure, "retries", 0),
-                    )
-                )
+            except Exception as error:
+                failed = self._failure_payload(entry, error)
+                replies.append((None, entry, failed))
                 continue
-            request = entry.extra["request"]
-            plan = entry.extra.get("plan")
-            if plan is not None:
-                plan.record(result.stats.extra)
-                result.stats.extra["slo_achieved_s"] = done - entry.arrived_at
-                if plan.overrun:
-                    result.stats.extra["slo_overrun"] = True
-            self._observe(request, len(batch), result)
-            payloads.append(self._ok_payload(entry, result))
-        return payloads
+            if ticket.route == "solve":
+                pending[ticket] = entry
+            else:
+                parent.append((ticket, entry))
+        for ticket, entry in parent:
+            self._context.settle([ticket])
+            replies.append((ticket, entry, self._reply(entry, ticket)))
+        return pending, replies + self._settle_next(pending)
+
+    def _settle_next(self, fresh: "dict | None" = None) -> list:
+        """``(ticket, entry, payload)`` for the next pool replies (worker
+        thread), or none when woken.  ``fresh`` holds the requests this
+        step submitted, not yet in flight on the loop's books.  Never
+        raises, like :meth:`_submit`."""
+        entries = {**self._inflight, **(fresh or {})}
+        if not entries:
+            return []
+        try:
+            tickets = self._context.settle_any(self._wake_fds[0])
+        except Exception as error:
+            # The pool is gone (a protocol error closes it): no reply
+            # will come for anything in flight, so answer it all now.
+            return [
+                (ticket, entry, self._failure_payload(entry, error))
+                for ticket, entry in entries.items()
+            ]
+        return [
+            (ticket, entries[ticket], self._reply(entries[ticket], ticket))
+            for ticket in tickets
+        ]
+
+    def _reply(self, entry, ticket) -> dict:
+        """The reply payload for one settled ticket (worker thread)."""
+        result = ticket.result
+        if result is None:
+            failure = ticket.failure
+            message = str(failure).strip()
+            return self._error_payload(
+                entry.id,
+                getattr(failure, "kind", "solver_error"),
+                message.splitlines()[-1] if message else "",
+                retries=getattr(failure, "retries", 0),
+            )
+        plan = entry.extra.get("plan")
+        if plan is not None:
+            plan.record(result.stats.extra)
+            result.stats.extra["slo_achieved_s"] = (
+                time.monotonic() - entry.arrived_at
+            )
+            if plan.overrun:
+                result.stats.extra["slo_overrun"] = True
+        self._observe(ticket, result)
+        return self._ok_payload(entry, result)
+
+    def _failure_payload(self, entry, error: Exception) -> dict:
+        return self._error_payload(
+            entry.id, "solver_error", f"{type(error).__name__}: {error}"
+        )
 
     def _apply_mutations(self, entries) -> "list[dict]":
-        """:meth:`_apply_mutation` on each queued entry in arrival order,
+        """:meth:`_apply_mutation` on each ready entry in arrival order,
         in one worker-thread hop."""
         return [self._apply_mutation(entry) for entry in entries]
 
     def _apply_mutation(self, entry) -> dict:
-        """Apply one tenant's delta batch (worker thread, between batches).
+        """Apply one tenant's delta batch (worker thread, no solve of the
+        graph in flight).
 
         The tenant's compiled index is patched in place through
         :meth:`~repro.graph.compiled.CompiledGraph.apply_deltas` —
         payload token preserved, generation bumped — so the resident
         pool refreshes warm workers with O(|delta|) ``graph_patch``
-        records on the next batch instead of full re-installs.  An
-        mmap-backed tenant (a ``graphs=`` path) is materialized into
-        memory by the first patch.  Never raises: a bad delta becomes
-        the entry's typed ``mutate_error`` reply.
+        records ahead of the tenant's next solve instead of full
+        re-installs.  An mmap-backed tenant (a ``graphs=`` path) is
+        materialized into memory by the first patch.  Never raises: a
+        bad delta becomes the entry's typed ``mutate_error`` reply.
         """
         deltas = entry.spec["deltas"]
         try:
@@ -742,18 +858,16 @@ class ServingDaemon:
             "applied": len(deltas),
         }
 
-    def _observe(self, request, batch_size: int, result) -> None:
-        """Feed one completed solve into the SLO work-rate calibration."""
+    def _observe(self, ticket, result) -> None:
+        """Feed one completed solve into the SLO work-rate calibration,
+        filed under the route it actually ran."""
+        request = ticket.request
         budget = request.budget
         if budget <= 0:
             return  # budget-less solver: no work volume to learn from
-        engine = request.solver_kwargs.get("engine", self._context.engine)
-        mode = self._context.resolve_mode(
-            request.problem, budget, batch_size=batch_size, engine=engine
-        )
         self.calibrator.observe(
-            engine=engine,
-            mode=mode,
+            engine=request.solver_kwargs.get("engine", self._context.engine),
+            mode=ticket.route,
             n=request.problem.graph.number_of_nodes(),
             budget=budget,
             elapsed_s=result.stats.elapsed_seconds,

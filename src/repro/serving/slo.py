@@ -154,28 +154,20 @@ class LatencyCalibrator:
         self.observations[key] = self.observations.get(key, 0) + 1
 
     # ------------------------------------------------------------------
-    def plan(
-        self,
-        n: int,
-        slo_s: float,
-        engine: str = "compiled",
-        batch_size: int = 1,
-        workers: "int | None" = None,
-        cpu_count: "int | None" = None,
-        healthy: bool = True,
-    ) -> SLOPlan:
-        """The largest-budget plan that fits ``slo_s`` on current rates."""
+    def plan(self, n: int, slo_s: float, engine: str, route) -> SLOPlan:
+        """The largest-budget plan that fits ``slo_s`` on current rates.
+
+        ``route(budget)`` names the mode the request would run in at
+        each candidate budget — the dispatcher's own route, so a plan is
+        priced at the rate of the mode it will be observed under.
+        """
         budget, mode, promised = budget_for_slo(
             n=n,
             slo_s=slo_s,
             work_rate=lambda candidate_mode: self.rate(
                 engine, candidate_mode
             ),
-            batch_size=batch_size,
-            workers=workers,
-            cpu_count=cpu_count,
-            healthy=healthy,
-            engine=engine,
+            route=route,
             min_budget=self.min_budget,
             max_budget=self.max_budget,
         )

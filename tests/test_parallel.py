@@ -74,10 +74,12 @@ class TestResidentSolvePool:
         the detached arrays exactly once per worker."""
         problem = WASOProblem(graph=small_facebook, k=5)
         with ResidentPool(2) as pool:
-            first = self._solve_many(pool, problem, (4, 5))[0]
+            batch = self._solve_many(pool, problem, (4, 5))
+            first = batch[0]
             assert pool.installs == 2  # one per (graph, worker) pair
             assert first.stats.extra["graph_shipped"] is True
-            assert first.stats.extra["graph_installs"] == 2
+            # Each request's chunk installed the graph on its worker.
+            assert [r.stats.extra["graph_installs"] for r in batch] == [1, 1]
             second = self._solve_many(pool, problem, (6, 7))[0]
             assert pool.installs == 2  # nothing re-shipped
             assert second.stats.extra["graph_shipped"] is False
@@ -156,6 +158,42 @@ class TestResidentSolvePool:
             ((status, echoed, result),) = chunk
             assert status == "ok" and echoed == index
             direct = CBASND(**kwargs).solve(problem, rng=7)
+            assert result.members == direct.members
+            assert result.willingness == direct.willingness
+
+    def test_submit_places_on_the_least_loaded_worker(self, small_facebook):
+        """Each entry goes to the worker with the fewest requests in
+        flight (ties to the lowest slot); one call's entries for one
+        worker share a chunk, and ``settle_any`` hands every chunk back
+        once, as its reply lands."""
+        problem = WASOProblem(graph=small_facebook, k=5)
+        spec = problem.payload_spec()
+        graphs = {spec["token"]: problem.compiled().detach()}
+        kwargs = dict(budget=30, m=4, stages=2, engine="compiled")
+
+        def entry(index):
+            return {"index": index, "problem": spec, "solver": "cbas-nd",
+                    "kwargs": kwargs, "seed": index}
+
+        with ResidentPool(2) as pool:
+            singles = [pool.submit([entry(i)], graphs) for i in range(3)]
+            assert [r["worker"] for (r,) in singles] == [0, 1, 0]
+            # Loads 2 and 1: entries 3 and 5 fill worker 1, 4 worker 0.
+            mixed = pool.submit([entry(3), entry(4), entry(5)], graphs)
+            assert [(r["worker"], [e["index"] for e in r["entries"]])
+                    for r in mixed] == [(0, [4]), (1, [3, 5])]
+            settled = []
+            while len(settled) < 5:
+                settled += pool.settle_any()
+            assert pool.settle_any() == []
+        outcomes = {
+            index: result
+            for record in settled
+            for status, index, result in record["outcomes"]
+        }
+        assert sorted(outcomes) == [0, 1, 2, 3, 4, 5]
+        for index, result in outcomes.items():
+            direct = CBASND(**kwargs).solve(problem, rng=index)
             assert result.members == direct.members
             assert result.willingness == direct.willingness
 

@@ -45,6 +45,7 @@ from repro.graph.generators import facebook_like
 from repro.graph.io import save_json
 from repro.parallel import NEXT_RPC, FaultPlan
 from repro.runtime import ExecutionContext, request_from_spec
+from repro.runtime.router import MIN_STAGE_BUDGET, STAGE_WORK_THRESHOLD
 from repro.serving import (
     AdmissionController,
     LatencyCalibrator,
@@ -239,10 +240,16 @@ class TestDifferential:
             return replies
 
         replies = asyncio.run(scenario())
-        for spec, result in zip(specs, direct):
+        for index, (spec, result) in enumerate(zip(specs, direct)):
             reply = replies[spec["id"]]
             _assert_reply_matches(reply, result)
-            assert reply["extra"]["worker_restarts"] == 1
+            # One round placed the requests on workers 0, 1, 0, 1: the
+            # two whose records worker 0 lost report the restart, the
+            # others omit the key.
+            lost = index % 2 == 0
+            assert reply["extra"].get("worker_restarts") == (
+                1 if lost else None
+            )
 
     def test_worker_kills_reach_stage_routed_requests(
         self, small_facebook, no_orphans
@@ -272,6 +279,46 @@ class TestDifferential:
         reply = replies[specs[0]["id"]]
         _assert_reply_matches(reply, direct[0])
         assert reply["extra"]["worker_restarts"] >= 1
+
+    def test_stage_solve_behind_chunks_in_flight_is_invisible(
+        self, small_facebook, no_orphans
+    ):
+        """A stage-routed request taken while chunks are in flight on
+        both workers queues its shards behind them; a kill on worker 0
+        then loses a chunk and the stage set-up together, and every
+        reply still equals direct ``solve_many``."""
+        big = max(
+            MIN_STAGE_BUDGET,
+            -(-STAGE_WORK_THRESHOLD // small_facebook.number_of_nodes()),
+        )
+        specs = _specs(2) + [
+            {"id": "big", "k": 5, "budget": big, "m": 6, "stages": 3,
+             "seed": 7},
+        ]
+        direct = _direct_results(small_facebook, specs)
+
+        async def scenario():
+            # Worker 0's sends: 1 = install, 2 = request r0's chunk,
+            # 3 = the stage solve's spec, sent while the chunk is out.
+            plan = FaultPlan(kills=[(0, 3)], stalls={1: 0.3})
+            daemon = ServingDaemon(
+                small_facebook, fault_plan=plan, **_daemon_kwargs()
+            )
+            host, port = await daemon.start()
+            try:
+                replies = await _send_all(host, port, specs)
+            finally:
+                await daemon.shutdown()
+            assert daemon.counters["batches"] == 1
+            return replies, plan.log
+
+        replies, log = asyncio.run(scenario())
+        assert log == [("stall", "queue", 1), ("kill", 0, 3)]
+        for spec, result in zip(specs, direct):
+            _assert_reply_matches(replies[spec["id"]], result)
+        assert "shard_rpcs" in replies["big"]["extra"]
+        assert replies["big"]["extra"]["worker_restarts"] == 1
+        assert "shard_rpcs" not in replies["r0"]["extra"]
 
     def test_client_disconnect_mid_solve_keeps_daemon_serving(
         self, small_facebook, no_orphans
@@ -581,6 +628,30 @@ class TestSLORouting:
         assert code == 200
         cell = body["calibration"]["compiled/solve"]
         assert cell["observations"] == len(replies) == 4
+
+    def test_calibration_files_the_route_a_solve_ran(self, no_orphans):
+        """A reference-engine request large enough for stage mode cannot
+        shard, so it runs as a chunk; the calibration files it under
+        ``solve``, the route it ran, not the ``stage`` route the router
+        first named."""
+        graph = facebook_like(500, seed=8)
+        budget = max(MIN_STAGE_BUDGET, -(-STAGE_WORK_THRESHOLD // 500))
+        spec = {"id": "ref", "k": 4, "budget": budget, "m": 4,
+                "stages": 2, "engine": "reference", "seed": 3}
+
+        async def scenario():
+            daemon = ServingDaemon(graph, **_daemon_kwargs())
+            host, port = await daemon.start()
+            try:
+                replies = await _send_all(host, port, [spec])
+            finally:
+                await daemon.shutdown()
+            return replies, daemon.calibrator.snapshot()
+
+        replies, calibration = asyncio.run(scenario())
+        assert replies["ref"]["ok"], replies["ref"]
+        assert calibration["reference/solve"]["observations"] == 1
+        assert "reference/stage" not in calibration
 
     def test_slo_and_budget_are_mutually_exclusive(
         self, small_facebook, no_orphans
@@ -939,7 +1010,10 @@ class TestLifecycle:
         direct = _direct_results(small_facebook, specs)
 
         async def scenario():
-            plan = FaultPlan(kills=[(0, 1), (0, 3)], stalls={1: 0.3})
+            # Worker 0's sends: 1 = install, 2 and 3 = requests 0 and 2
+            # (one chunk each); the recovery re-sends them as 4-6, so
+            # the second kill lands on the re-install.
+            plan = FaultPlan(kills=[(0, 1), (0, 4)], stalls={1: 0.3})
             daemon = ServingDaemon(
                 small_facebook,
                 mode="solve",
@@ -1308,3 +1382,172 @@ class TestMutate:
         reply = asyncio.run(scenario())
         assert not reply["ok"]
         assert reply["error"]["kind"] == "shed"
+
+
+# ----------------------------------------------------------------------
+# Generated interleavings: solves, mutations, invalid lines, one kill
+# ----------------------------------------------------------------------
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+#: One script line: (kind, tenant, pick).  ``pick`` is a solve's seed,
+#: a mutation's edge and weight, or an invalid line's variant.
+_LINE = st.tuples(
+    st.sampled_from(
+        ["solve"] * 3 + ["mutate"] * 2 + ["bad_mutate", "invalid", "blank"]
+    ),
+    st.sampled_from("ab"),
+    st.integers(0, 10_000),
+)
+
+
+def _interleaving_graphs():
+    # Fresh per example: mutations write into them.
+    return {"a": facebook_like(50, seed=21), "b": facebook_like(40, seed=22)}
+
+
+def _solve_spec(tenant: str, seed: int) -> dict:
+    return {"k": 4, "budget": 40, "m": 3, "stages": 2, "seed": seed}
+
+
+def _same_solve(reply: dict, result) -> bool:
+    try:
+        _assert_reply_matches(reply, result)
+    except AssertionError:
+        return False
+    return True
+
+
+class TestGeneratedInterleavings:
+    """Generated line scripts through one daemon each: every non-blank
+    line gets exactly one reply, the admission counters balance, and
+    every served solve equals a direct solve at a generation of its
+    tenant that includes every mutation sent before it."""
+
+    @settings(
+        max_examples=15,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        script=st.lists(_LINE, min_size=4, max_size=14),
+        # At most one kill: one planned past a worker's last send
+        # never fires.
+        kill=st.tuples(st.integers(0, 1), st.integers(1, 5)),
+    )
+    def test_interleaved_lines_are_served_consistently(self, script, kill):
+        graphs = _interleaving_graphs()
+        edges = {tenant: sorted(g.edges()) for tenant, g in graphs.items()}
+        lines, expected_ids = [], []
+        solves = []  # (id, tenant, seed, good mutations sent before it)
+        mutations = {"a": [], "b": []}  # good delta batches, in order
+        outcomes = {}  # id -> expected error kind, or generation reached
+        invalid = 0
+        for number, (kind, tenant, pick) in enumerate(script):
+            request_id = f"x{number}"
+            if kind == "blank":
+                lines.append("   ")
+                continue
+            expected_ids.append(request_id)
+            if kind == "solve":
+                seed = pick % 100
+                spec = {"id": request_id, "tenant": tenant,
+                        **_solve_spec(tenant, seed)}
+                solves.append(
+                    (request_id, tenant, seed, len(mutations[tenant]))
+                )
+            elif kind == "mutate":
+                u, v = edges[tenant][pick % len(edges[tenant])]
+                deltas = [["set_tightness", u, v, 0.05 + (pick % 9) / 10]]
+                mutations[tenant].append(deltas)
+                outcomes[request_id] = len(mutations[tenant])
+                spec = {"id": request_id, "kind": "mutate",
+                        "tenant": tenant, "deltas": deltas}
+            elif kind == "bad_mutate":
+                outcomes[request_id] = "mutate_error"
+                spec = {"id": request_id, "kind": "mutate",
+                        "tenant": tenant,
+                        "deltas": [["remove_edge", "no-such", "node"]]}
+            else:
+                invalid += 1
+                if pick % 3 == 0:
+                    # Unparseable: answered by its non-blank line number.
+                    expected_ids[-1] = len(expected_ids)
+                    outcomes[len(expected_ids)] = "invalid"
+                    lines.append("}{ not json")
+                    continue
+                outcomes[request_id] = "invalid"
+                spec = {"id": request_id, "k": 4, "budget": 40}
+                if pick % 3 == 1:
+                    spec["budgett"] = 1
+                else:
+                    spec["tenant"] = "ghost"
+            lines.append(json.dumps(spec))
+
+        async def scenario():
+            plan = FaultPlan(kills=[kill])
+            daemon = ServingDaemon(graphs, fault_plan=plan, **_daemon_kwargs())
+            host, port = await daemon.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write("".join(line + "\n" for line in lines).encode())
+                await writer.drain()
+                writer.write_eof()
+                replies = [json.loads(raw) async for raw in reader]
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await daemon.shutdown()
+            return replies, daemon.admission.snapshot(), daemon.counters
+
+        replies, admission, counters = asyncio.run(scenario())
+        assert sorted(map(str, (r["id"] for r in replies))) == sorted(
+            map(str, expected_ids)
+        )
+        assert counters["invalid"] == invalid
+        assert admission["received"] == len(solves)
+        assert admission["received"] == (
+            admission["admitted"] + admission["shed"]
+        )
+        assert admission["admitted"] == (
+            admission["completed"]
+            + admission["failed"]
+            + admission["queue_timeouts"]
+            + admission["deadline_missed"]
+        )
+        by_id = {reply["id"]: reply for reply in replies}
+        for request_id, outcome in outcomes.items():
+            reply = by_id[request_id]
+            if isinstance(outcome, str):
+                assert reply["error"]["kind"] == outcome, reply
+            else:  # a tenant's mutations apply in arrival order
+                assert reply["ok"] and reply["generation"] == outcome, reply
+
+        # Direct results per tenant at every generation it went through.
+        direct = {}
+        for tenant, batches in mutations.items():
+            graph = _interleaving_graphs()[tenant]
+            seeds = [seed for _, t, seed, _ in solves if t == tenant]
+            for generation in range(len(batches) + 1):
+                if generation:
+                    graph.compiled().apply_deltas(
+                        [tuple(op) for op in batches[generation - 1]]
+                    )
+                requests = [
+                    request_from_spec(graph, _solve_spec(tenant, seed))
+                    for seed in seeds
+                ]
+                with ExecutionContext(mode="serial") as context:
+                    results = context.solve_many(requests) if requests else []
+                direct[tenant, generation] = dict(zip(seeds, results))
+        for request_id, tenant, seed, seen in solves:
+            reply = by_id[request_id]
+            assert reply["ok"], reply
+            if not mutations[tenant]:
+                _assert_reply_matches(reply, direct[tenant, 0][seed])
+                continue
+            assert any(
+                _same_solve(reply, direct[tenant, generation][seed])
+                for generation in range(seen, len(mutations[tenant]) + 1)
+            ), (request_id, tenant, seen)
